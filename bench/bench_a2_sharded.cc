@@ -283,8 +283,8 @@ int main(int argc, char** argv) {
     independent_rebuilds += solo->swaps;
   }
 
-  const std::string store_path = "a2_store.tmp.json";
-  std::remove(store_path.c_str());
+  const TempPath store_file("a2_store.json");
+  const std::string& store_path = store_file.str();
   auto cold = RunGroup(chase, stale, batch, pipeline, kShards, store_path);
   if (!cold.ok()) {
     std::fprintf(stderr, "group run failed: %s\n", cold.status().ToString().c_str());
@@ -395,7 +395,6 @@ int main(int argc, char** argv) {
                          {"cold_epoch0_eff", cold_epoch0},
                          {"warm_epoch0_eff", warm_epoch0},
                          {"pass", warm_pass ? 1.0 : 0.0}});
-  std::remove(store_path.c_str());
 
   std::printf(
       "\nReading: recovery per shard = (steady-state efficiency - baseline) /\n"

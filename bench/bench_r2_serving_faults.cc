@@ -324,8 +324,8 @@ int main(int argc, char** argv) {
               *eff_fresh, win_fresh);
 
   // ---------- R0: fault-free guarded run -----------------------------------
-  const std::string store_path = "r2_store.tmp";
-  std::remove(store_path.c_str());
+  const TempPath store_file("r2_store");
+  const std::string& store_path = store_file.str();
   auto r0 = RunGuarded(chase, stale, batch, pipeline, /*faults=*/{}, store_path);
   if (!r0.ok()) {
     std::fprintf(stderr, "R0 run failed: %s\n", r0.status().ToString().c_str());
@@ -376,14 +376,12 @@ int main(int argc, char** argv) {
         if (fault == faultinject::FaultClass::kStoreCorrupt) {
           // File-level: corrupt a copy of R0's persisted store, then
           // warm-start from the rotten file.
-          const std::string rotten = "r2_store_rotten.tmp";
+          const TempPath rotten("r2_store_rotten");
           YH_ASSIGN_OR_RETURN(const profile::ProfileData data,
                               adapt::LoadStoreFile(store_path));
-          YH_RETURN_IF_ERROR(adapt::SaveStoreFile(data, rotten));
-          YH_RETURN_IF_ERROR(faultinject::CorruptStoreFile(rotten, spec));
-          auto out = RunGuarded(chase, stale, batch, pipeline, {spec}, rotten);
-          std::remove(rotten.c_str());
-          return out;
+          YH_RETURN_IF_ERROR(adapt::SaveStoreFile(data, rotten.str()));
+          YH_RETURN_IF_ERROR(faultinject::CorruptStoreFile(rotten.str(), spec));
+          return RunGuarded(chase, stale, batch, pipeline, {spec}, rotten.str());
         }
         return RunGuarded(chase, stale, batch, pipeline, {spec},
                           /*store_path=*/"");
@@ -451,7 +449,6 @@ int main(int argc, char** argv) {
       rows.push_back(row);
     }
   }
-  std::remove(store_path.c_str());
 
   std::printf(
       "\nReading: every row rides out a bounded outage (first ceil(sev*6)\n"

@@ -4,8 +4,12 @@
 #ifndef YIELDHIDE_BENCH_BENCH_UTIL_H_
 #define YIELDHIDE_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -132,6 +136,32 @@ class JsonWriter {
   std::string bench_id_;
   std::string path_;
   std::vector<std::string> rows_;
+};
+
+// A scratch file path private to this process, under the system temp
+// directory, so two runs of one bench never share the file. Any file at the
+// path is removed on construction and on destruction.
+class TempPath {
+ public:
+  explicit TempPath(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               ("yieldhide-" + std::to_string(::getpid()) + "-" + name))
+                  .string()) {
+    Remove();
+  }
+  ~TempPath() { Remove(); }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+
+  const std::string& str() const { return path_; }
+
+ private:
+  void Remove() const {
+    std::error_code ignored;
+    std::filesystem::remove(path_, ignored);
+  }
+
+  std::string path_;
 };
 
 // The canonical pipeline configuration for benches: Skylake-like machine,

@@ -1,99 +1,79 @@
 #include "src/sim/cache.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace yieldhide::sim {
 
 namespace {
 [[maybe_unused]] bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+// Moves set[pos] to the front, shifting the more recent entries back by one.
+void Promote(uint64_t* set, uint32_t pos) {
+  const uint64_t line = set[pos];
+  std::memmove(set + 1, set, pos * sizeof(uint64_t));
+  set[0] = line;
+}
 }  // namespace
 
-Cache::Cache(const CacheLevelConfig& config) : config_(config) {
-  num_sets_ = config.num_sets();
-  assert(num_sets_ > 0 && IsPowerOfTwo(num_sets_) &&
+Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.ways) {
+  const uint64_t num_sets = config.num_sets();
+  assert(num_sets > 0 && IsPowerOfTwo(num_sets) &&
          "cache size must be a power-of-two multiple of line*ways");
-  set_mask_ = num_sets_ - 1;
-  ways_.resize(num_sets_ * config.ways);
+  set_mask_ = num_sets - 1;
+  tags_.assign(num_sets * ways_, kEmpty);
 }
 
-Cache::Way* Cache::FindWay(uint64_t line_addr) {
-  Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      return &base[w];
-    }
+uint32_t Cache::Find(const uint64_t* set, uint64_t line_addr) const {
+  uint32_t w = 0;
+  while (w < ways_ && set[w] != line_addr) {
+    ++w;
   }
-  return nullptr;
+  return w;
 }
 
-const Cache::Way* Cache::FindWay(uint64_t line_addr) const {
-  const Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      return &base[w];
-    }
-  }
-  return nullptr;
+bool Cache::Contains(uint64_t line_addr) const {
+  return Find(SetOf(line_addr), line_addr) < ways_;
 }
-
-bool Cache::Contains(uint64_t line_addr) const { return FindWay(line_addr) != nullptr; }
 
 bool Cache::Lookup(uint64_t line_addr) {
   ++stats_.lookups;
-  Way* way = FindWay(line_addr);
-  if (way == nullptr) {
+  uint64_t* set = SetOf(line_addr);
+  const uint32_t pos = Find(set, line_addr);
+  if (pos == ways_) {
     return false;
   }
-  way->lru_stamp = ++lru_clock_;
+  Promote(set, pos);
   ++stats_.hits;
   return true;
 }
 
 bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
+  assert(line_addr != kEmpty);
   ++stats_.installs;
-  Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  Way* victim = nullptr;
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      base[w].lru_stamp = ++lru_clock_;  // refresh, already present
-      return false;
-    }
-    if (!base[w].valid) {
-      if (victim == nullptr || victim->valid) {
-        victim = &base[w];
-      }
-    } else if (victim == nullptr ||
-               (victim->valid && base[w].lru_stamp < victim->lru_stamp)) {
-      victim = &base[w];
-    }
-  }
-  const bool evicting = victim->valid;
-  if (evicting) {
-    ++stats_.evictions;
-    if (evicted != nullptr) {
-      *evicted = victim->line_addr;
-    }
-  }
-  victim->valid = true;
-  victim->line_addr = line_addr;
-  victim->lru_stamp = ++lru_clock_;
-  return evicting;
-}
-
-bool Cache::Invalidate(uint64_t line_addr) {
-  Way* way = FindWay(line_addr);
-  if (way == nullptr) {
+  uint64_t* set = SetOf(line_addr);
+  const uint32_t pos = Find(set, line_addr);
+  if (pos < ways_) {
+    Promote(set, pos);  // refresh, already present
     return false;
   }
-  way->valid = false;
+  // The last entry is the LRU line, or empty while the set has a free way.
+  const uint64_t victim = set[ways_ - 1];
+  std::memmove(set + 1, set, (ways_ - 1) * sizeof(uint64_t));
+  set[0] = line_addr;
+  if (victim == kEmpty) {
+    return false;
+  }
+  ++stats_.evictions;
+  if (evicted != nullptr) {
+    *evicted = victim;
+  }
   return true;
 }
 
 void Cache::Reset() {
-  for (Way& way : ways_) {
-    way = Way{};
-  }
-  lru_clock_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   stats_ = Stats{};
 }
 

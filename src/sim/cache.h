@@ -25,9 +25,6 @@ class Cache {
   // an eviction occurred (evicted line in *evicted when non-null).
   bool Install(uint64_t line_addr, uint64_t* evicted = nullptr);
 
-  // Removes a line if present; returns whether it was present.
-  bool Invalidate(uint64_t line_addr);
-
   void Reset();
 
   struct Stats {
@@ -40,21 +37,25 @@ class Cache {
   const CacheLevelConfig& config() const { return config_; }
 
  private:
-  struct Way {
-    uint64_t line_addr = 0;
-    bool valid = false;
-    uint64_t lru_stamp = 0;  // larger = more recently used
-  };
+  // Marks an empty way. Line addresses are byte addresses shifted right by
+  // the line bits, so no real line equals it.
+  static constexpr uint64_t kEmpty = ~0ull;
 
-  size_t SetIndex(uint64_t line_addr) const { return line_addr & set_mask_; }
-  Way* FindWay(uint64_t line_addr);
-  const Way* FindWay(uint64_t line_addr) const;
+  // Each set holds its tags in recency order, most recently used first, with
+  // empty ways at the back: the LRU victim is always the last entry, so no
+  // per-way stamp is stored. 8 bytes per way keeps the 8 MiB L3's tag state
+  // at 1 MiB of host memory.
+  uint64_t* SetOf(uint64_t line_addr) { return &tags_[(line_addr & set_mask_) * ways_]; }
+  const uint64_t* SetOf(uint64_t line_addr) const {
+    return &tags_[(line_addr & set_mask_) * ways_];
+  }
+  // Position of `line_addr` in `set`, or ways_ if absent.
+  uint32_t Find(const uint64_t* set, uint64_t line_addr) const;
 
   CacheLevelConfig config_;
-  size_t num_sets_;
+  uint32_t ways_;
   uint64_t set_mask_;
-  uint64_t lru_clock_ = 0;
-  std::vector<Way> ways_;  // num_sets * ways, row-major by set
+  std::vector<uint64_t> tags_;  // num_sets * ways, row-major by set
   Stats stats_;
 };
 

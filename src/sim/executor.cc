@@ -11,10 +11,10 @@ constexpr size_t kMaxCallDepth = 4096;
 Executor::Executor(const isa::Program* program, Machine* machine)
     : program_(program), machine_(machine) {}
 
-StepResult Executor::Error(Status status) const {
+StepResult Executor::Error(Status status) {
+  error_ = std::move(status);
   StepResult result;
   result.event = StepEvent::kError;
-  result.status = std::move(status);
   return result;
 }
 
@@ -235,7 +235,7 @@ Result<uint64_t> Executor::RunToCompletion(CpuContext& ctx, uint64_t max_instruc
     }
     const StepResult result = Step(ctx, StallPolicy::kBlocking);
     if (result.event == StepEvent::kError) {
-      return result.status;
+      return error_;
     }
     // kYielded with nobody to switch to: fall through at zero cost.
   }

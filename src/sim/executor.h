@@ -60,12 +60,13 @@ enum class StepEvent : uint8_t {
   kError,     // malformed execution (bad pc, call-stack underflow, ...)
 };
 
+// Plain data, so a step returns in registers; the Status of a kError step is
+// kept by the executor (Executor::error()).
 struct StepResult {
   StepEvent event = StepEvent::kExecuted;
   uint32_t issue_cycles = 0;  // pipeline-occupancy cost of the instruction
   uint32_t wait_cycles = 0;   // additional memory wait (stall if not hidden)
   bool conditional_yield = false;  // event==kYielded via CYIELD
-  Status status;                   // set when event==kError
 };
 
 // How Step() should account memory waits.
@@ -90,7 +91,12 @@ class Executor {
   // kYielded. The scheduler charges the machine's yield_switch_cycles when it
   // actually transfers control (a yield back to the same sole runnable
   // context can be made cheaper by the runtime).
+  //
+  // A kError step leaves `ctx` unchanged and records why in error().
   StepResult Step(CpuContext& ctx, StallPolicy policy);
+
+  // Why the most recent kError step failed; OK before any error.
+  const Status& error() const { return error_; }
 
   // Runs a single context to completion (blocking stalls, yields ignored —
   // they fall through at zero extra cost, modelling a yield with nobody to
@@ -101,10 +107,11 @@ class Executor {
   Machine& machine() { return *machine_; }
 
  private:
-  StepResult Error(Status status) const;
+  StepResult Error(Status status);
 
   const isa::Program* program_;
   Machine* machine_;
+  Status error_;
 };
 
 }  // namespace yieldhide::sim

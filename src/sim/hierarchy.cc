@@ -1,5 +1,6 @@
 #include "src/sim/hierarchy.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace yieldhide::sim {
@@ -40,14 +41,25 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
 }
 
 void MemoryHierarchy::DrainMshr(uint64_t now) {
+  if (now < mshr_min_ready_) {
+    return;
+  }
+  uint64_t min_ready = ~0ull;
   for (auto it = mshr_.begin(); it != mshr_.end();) {
     if (it->second.ready_cycle <= now) {
       InstallEverywhere(it->first);
       it = mshr_.erase(it);
     } else {
+      min_ready = std::min(min_ready, it->second.ready_cycle);
       ++it;
     }
   }
+  mshr_min_ready_ = min_ready;
+}
+
+void MemoryHierarchy::StartFill(uint64_t line, uint64_t ready_cycle) {
+  mshr_.emplace(line, Fill{ready_cycle});
+  mshr_min_ready_ = std::min(mshr_min_ready_, ready_cycle);
 }
 
 void MemoryHierarchy::InstallEverywhere(uint64_t line) {
@@ -86,7 +98,7 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
       } else if (l3_.Contains(next_line)) {
         source = HitLevel::kL3;
       }
-      mshr_.emplace(next_line, Fill{now + MissLatency(source)});
+      StartFill(next_line, now + MissLatency(source));
       ++stats_.hw_prefetches;
     }
   }
@@ -129,7 +141,7 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
     result.level = HitLevel::kDram;
     ++stats_.dram_accesses;
     if (mshr_.size() < config_.mshr_entries) {
-      mshr_.emplace(line, Fill{now + config_.dram_latency_cycles});
+      StartFill(line, now + config_.dram_latency_cycles);
     } else {
       InstallEverywhere(line);  // MSHR full: degrade to instant install
     }
@@ -170,7 +182,7 @@ bool MemoryHierarchy::Prefetch(uint64_t byte_addr, uint64_t now) {
   } else if (l3_.Contains(line)) {
     source = HitLevel::kL3;
   }
-  mshr_.emplace(line, Fill{now + MissLatency(source)});
+  StartFill(line, now + MissLatency(source));
   ++stats_.prefetches_issued;
   return true;
 }
@@ -206,6 +218,7 @@ void MemoryHierarchy::Reset() {
   l2_.Reset();
   l3_.Reset();
   mshr_.clear();
+  mshr_min_ready_ = ~0ull;
   last_demand_line_ = ~0ull;
   stats_ = Stats{};
 }

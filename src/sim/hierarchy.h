@@ -83,8 +83,10 @@ class MemoryHierarchy {
     uint64_t ready_cycle;
   };
 
-  // Installs completed fills (ready <= now) into the caches.
+  // Installs completed fills (ready <= now) into the caches. Returns at once
+  // while `now` is below mshr_min_ready_.
   void DrainMshr(uint64_t now);
+  void StartFill(uint64_t line, uint64_t ready_cycle);
   void InstallEverywhere(uint64_t line);
   // Latency of fetching a line found at `level`.
   uint32_t MissLatency(HitLevel level) const;
@@ -95,7 +97,14 @@ class MemoryHierarchy {
   Cache l1_;
   Cache l2_;
   Cache l3_;
+  // The drain installs completed fills in this map's iteration order, and
+  // install order decides LRU order, so the container type is part of the
+  // simulated result.
   std::unordered_map<uint64_t, Fill> mshr_;
+  // Lower bound on every pending ready_cycle: lowered by each StartFill and
+  // recomputed by each scan. An erase on a merge leaves it low, which only
+  // costs one scan.
+  uint64_t mshr_min_ready_ = ~0ull;
   Stats stats_;
 };
 

@@ -66,7 +66,7 @@ Result<SmtReport> SmtCore::Run(uint64_t max_total_instructions) {
     const StepResult step = executor_.Step(ctx, StallPolicy::kDeferred);
     switch (step.event) {
       case StepEvent::kError:
-        return step.status;
+        return executor_.error();
       case StepEvent::kHalted:
         --live;
         report.context_finish_cycles[chosen] = machine.now();

@@ -5,6 +5,7 @@
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
+#include "src/sim/smt_core.h"
 
 namespace yieldhide::runtime {
 namespace {
@@ -481,6 +482,76 @@ TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
     EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
     EXPECT_GT(report->site_stats.begin()->second.visits,
               config.quarantine_min_visits);
+  }
+}
+
+// --- Faulting steps reach every runner's caller --------------------------------
+
+// A program whose first context faults, and the status the fault must carry.
+struct StepFault {
+  const char* source;
+  StatusCode code;
+  const char* message;
+};
+
+const StepFault kStepFaults[] = {
+    {"nop\n", StatusCode::kOutOfRange, "pc 1 outside program of size 1"},
+    {"ret\n", StatusCode::kFailedPrecondition, "ret with empty call stack at ip 0"},
+    {"self: call self\n", StatusCode::kResourceExhausted, "call stack overflow at ip 0"},
+};
+
+void ExpectFault(const Status& status, const StepFault& fault) {
+  EXPECT_EQ(status.code(), fault.code) << fault.source;
+  EXPECT_EQ(status.message(), fault.message) << fault.source;
+}
+
+TEST(StepErrorTest, RoundRobinRunReturnsTheFault) {
+  for (const StepFault& fault : kStepFaults) {
+    sim::Machine machine(sim::MachineConfig::SmallTest());
+    auto binary = AnnotateManualYields(Asm(fault.source), machine.config().cost);
+    RoundRobinScheduler sched(&binary, &machine);
+    sched.AddCoroutine(nullptr);
+    sched.AddCoroutine(nullptr);
+    auto report = sched.Run(1'000'000);
+    ASSERT_FALSE(report.ok()) << fault.source;
+    ExpectFault(report.status(), fault);
+  }
+}
+
+TEST(StepErrorTest, SmtCoreRunReturnsTheFault) {
+  for (const StepFault& fault : kStepFaults) {
+    sim::Machine machine(sim::MachineConfig::SmallTest());
+    const isa::Program program = Asm(fault.source);
+    sim::SmtCore core(&program, &machine);
+    core.AddContext(nullptr);
+    core.AddContext(nullptr);
+    auto report = core.Run(1'000'000);
+    ASSERT_FALSE(report.ok()) << fault.source;
+    ExpectFault(report.status(), fault);
+  }
+}
+
+TEST_F(DualModeTest, RunTasksReturnsAPrimaryFault) {
+  for (const StepFault& fault : kStepFaults) {
+    auto primary = AnnotateManualYields(Asm(fault.source), machine_->config().cost);
+    DualModeScheduler sched(&primary, &scavenger_, machine_.get(), DualModeConfig{});
+    sched.AddPrimaryTask(PrimaryTask(0));
+    sched.SetScavengerFactory(AluScavengers(4));
+    auto ran = sched.RunTasks(1);
+    ASSERT_FALSE(ran.ok()) << fault.source;
+    ExpectFault(ran.status(), fault);
+  }
+}
+
+TEST_F(DualModeTest, RunTasksReturnsAScavengerFault) {
+  for (const StepFault& fault : kStepFaults) {
+    auto scavenger = AnnotateManualYields(Asm(fault.source), machine_->config().cost);
+    DualModeScheduler sched(&primary_, &scavenger, machine_.get(), DualModeConfig{});
+    sched.AddPrimaryTask(PrimaryTask(0));
+    sched.SetScavengerFactory(AluScavengers(4));
+    auto ran = sched.RunTasks(1);
+    ASSERT_FALSE(ran.ok()) << fault.source;
+    ExpectFault(ran.status(), fault);
   }
 }
 

@@ -103,14 +103,6 @@ TEST(CacheTest, DistinctSetsDoNotInterfere) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(CacheTest, Invalidate) {
-  Cache cache(TinyCache());
-  cache.Install(5);
-  EXPECT_TRUE(cache.Invalidate(5));
-  EXPECT_FALSE(cache.Contains(5));
-  EXPECT_FALSE(cache.Invalidate(5));
-}
-
 TEST(CacheTest, ResetClearsEverything) {
   Cache cache(TinyCache());
   cache.Install(1);

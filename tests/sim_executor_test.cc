@@ -166,7 +166,7 @@ TEST_F(ExecutorTest, RetWithEmptyStackErrors) {
   ctx.ResetArchState(0);
   const StepResult result = executor.Step(ctx, StallPolicy::kBlocking);
   EXPECT_EQ(result.event, StepEvent::kError);
-  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(executor.error().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ExecutorTest, RecursionOverflowErrors) {
