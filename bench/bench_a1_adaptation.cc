@@ -17,7 +17,7 @@
 //   fresh    — binary re-profiled offline on TODAY'S mix (profile_first_task
 //              aimed at the drifted stream): the oracle the online loop is
 //              trying to reach without a maintenance window;
-//   adapt    — stale binary + AdaptiveServer: online re-profiling at low
+//   adapt    — stale binary + a one-shard ServerGroup: online re-profiling at low
 //              sampling periods, drift scoring each 8-task epoch, rebuild +
 //              hot-swap at a safe point, occupancy-driven pool scaling.
 //
@@ -33,7 +33,7 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/isa/builder.h"
 #include "src/runtime/dual_mode.h"
 #include "src/workloads/phased_chase.h"
@@ -113,8 +113,9 @@ BaselineOutcome RunBaseline(const workloads::PhasedChase& chase,
   return out;
 }
 
-// One AdaptiveServer run over the request stream. `adapting` false = control
-// mode (drift is still scored for the table, nothing acts on it).
+// One single-core serving run (a ServerGroup with one shard) over the request
+// stream. `adapting` false = control mode (drift is still scored for the
+// table, nothing acts on it).
 Result<adapt::AdaptReport> RunServer(const workloads::PhasedChase& chase,
                                      const core::PipelineArtifacts& artifacts,
                                      const instrument::InstrumentedProgram& batch,
@@ -123,21 +124,22 @@ Result<adapt::AdaptReport> RunServer(const workloads::PhasedChase& chase,
                                      bool adapting) {
   sim::Machine machine(machine_config);
   chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = rebuild_pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.adapt_enabled = adapting;
-  config.scale_pool = adapting;
-  config.charge_sampling_overhead = adapting;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  adapt::AdaptiveServer server(&chase.program(), artifacts, &machine, config);
-  server.SetScavengerBinary(&batch);  // unrelated batch job: never swapped
-  server.SetScavengerFactory(BatchFactory());
+  adapt::ServerGroupConfig config;
+  config.shard.controller.pipeline = rebuild_pipeline;
+  config.shard.tasks_per_epoch = kTasksPerEpoch;
+  config.shard.adapt_enabled = adapting;
+  config.shard.scale_pool = adapting;
+  config.shard.charge_sampling_overhead = adapting;
+  config.shard.dual.max_scavengers = 4;
+  config.shard.dual.hide_window_cycles = 300;
+  adapt::ServerGroup server(&chase.program(), artifacts, {&machine}, config);
+  server.SetScavengerBinary(0, &batch);  // unrelated batch job: never swapped
+  server.SetScavengerFactory(0, BatchFactory());
   for (int i = 0; i < kRequests; ++i) {
-    server.AddTask(chase.SetupFor(i));
+    server.AddTask(0, chase.SetupFor(i));
   }
-  return server.Run();
+  YH_ASSIGN_OR_RETURN(adapt::GroupReport report, server.Run());
+  return std::move(report.shards[0]);
 }
 
 // Issue-weighted mean efficiency of the epochs after the last swap (all

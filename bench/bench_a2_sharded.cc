@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
@@ -103,7 +103,7 @@ Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
   return report.CpuEfficiency();
 }
 
-// One single-shard AdaptiveServer run over task indices [first, first+n):
+// One single-shard ServerGroup run over task indices [first, first+n):
 // the independent-profiles baseline the shared store must beat, and the
 // fresh-profile oracle runner.
 Result<adapt::AdaptReport> RunIndependent(
@@ -113,16 +113,18 @@ Result<adapt::AdaptReport> RunIndependent(
     const core::PipelineConfig& pipeline, int first, bool adapting) {
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config = ShardConfig(pipeline);
-  config.adapt_enabled = adapting;
-  config.scale_pool = adapting;
-  adapt::AdaptiveServer server(&chase.program(), artifacts, &machine, config);
-  server.SetScavengerBinary(&batch);
-  server.SetScavengerFactory(BatchFactory());
+  adapt::ServerGroupConfig config;
+  config.shard = ShardConfig(pipeline);
+  config.shard.adapt_enabled = adapting;
+  config.shard.scale_pool = adapting;
+  adapt::ServerGroup server(&chase.program(), artifacts, {&machine}, config);
+  server.SetScavengerBinary(0, &batch);
+  server.SetScavengerFactory(0, BatchFactory());
   for (int i = 0; i < kRequestsPerShard; ++i) {
-    server.AddTask(chase.SetupFor(first + i));
+    server.AddTask(0, chase.SetupFor(first + i));
   }
-  return server.Run();
+  YH_ASSIGN_OR_RETURN(adapt::GroupReport report, server.Run());
+  return std::move(report.shards[0]);
 }
 
 struct GroupOutcome {

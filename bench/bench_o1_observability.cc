@@ -2,8 +2,9 @@
 // window into it must tell the same story.
 //
 // Scenario: the A1-style adaptation run (drifting PhasedChase served from a
-// stale binary by an AdaptiveServer, scavengers running the same service
-// binary, drift-aware sampling on) executed three ways on identical machines:
+// stale binary by a one-shard ServerGroup, scavengers running the same
+// service binary, drift-aware sampling on) executed three ways on identical
+// machines:
 //   seed     — no recorder, no registry attached: the pre-observability clock;
 //   disabled — recorder attached with runtime mask 0: the always-compiled-in
 //              cost when nobody is watching;
@@ -36,7 +37,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/workloads/phased_chase.h"
@@ -65,23 +66,21 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
                            obs::MetricsRegistry* metrics) {
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), stale, &machine, config);
-  if (trace != nullptr || metrics != nullptr) {
-    server.SetObservability(trace, metrics);
-  }
+  adapt::ServerGroupConfig config;
+  config.shard.controller.pipeline = pipeline;
+  config.shard.tasks_per_epoch = kTasksPerEpoch;
+  config.shard.dual.max_scavengers = 4;
+  config.shard.dual.hide_window_cycles = 300;
+  config.shard.drift_aware_sampling = true;
+  adapt::ServerGroup server(&chase.program(), stale, {&machine}, config);
+  server.SetObservability(trace, metrics);
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(chase.SetupFor(i));
+    server.AddTask(0, chase.SetupFor(i));
   }
   int extra = kTasks;
   server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+      0, [&chase, extra]() mutable
+             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
         return chase.SetupFor(extra++);
       });
   ScenarioResult result;
@@ -91,7 +90,7 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
     return result;
   }
   result.ok = true;
-  result.report = std::move(report).value();
+  result.report = std::move(report.value().shards[0]);
   result.site_index = server.controller().site_index();
   return result;
 }

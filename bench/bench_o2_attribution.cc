@@ -45,7 +45,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/obs/profiler/export.h"
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/snapshot.h"
@@ -77,26 +77,22 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
                            obs::CycleProfiler* profiler) {
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), stale, &machine, config);
-  if (trace != nullptr) {
-    server.SetObservability(trace, nullptr);
-  }
-  if (profiler != nullptr) {
-    server.SetProfiler(profiler);
-  }
+  adapt::ServerGroupConfig config;
+  config.shard.controller.pipeline = pipeline;
+  config.shard.tasks_per_epoch = kTasksPerEpoch;
+  config.shard.dual.max_scavengers = 4;
+  config.shard.dual.hide_window_cycles = 300;
+  config.shard.drift_aware_sampling = true;
+  adapt::ServerGroup server(&chase.program(), stale, {&machine}, config);
+  server.SetObservability(trace, nullptr);
+  server.SetProfiler(0, profiler);
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(chase.SetupFor(i));
+    server.AddTask(0, chase.SetupFor(i));
   }
   int extra = kTasks;
   server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+      0, [&chase, extra]() mutable
+             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
         return chase.SetupFor(extra++);
       });
   ScenarioResult result;
@@ -106,7 +102,7 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
     return result;
   }
   result.ok = true;
-  result.report = std::move(report).value();
+  result.report = std::move(report.value().shards[0]);
   result.site_index = server.controller().site_index();
   return result;
 }

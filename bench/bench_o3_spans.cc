@@ -44,7 +44,7 @@
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/slo/slo.h"
 #include "src/obs/span/span.h"
-#include "src/serve/front_end.h"
+#include "src/serve/deployment.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -71,17 +71,14 @@ struct PointSpec {
 };
 
 struct PointOutcome {
-  std::vector<std::unique_ptr<obs::SpanCollector>> spans;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> slos;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<serve::FrontEndReport> fe;
-  std::vector<uint64_t> end_cycle;  // per-shard machine clock at drain
+  serve::Deployment deployment;
   adapt::GroupReport report;
   uint64_t span_events = 0;  // kSpanBegin/kSpanEnd/kSlo* drained via sink
+  // Per-shard machine clocks at drain, summed.
   uint64_t total_cycles() const {
     uint64_t t = 0;
-    for (const uint64_t c : end_cycle) {
-      t += c;
+    for (size_t s = 0; s < kShards; ++s) {
+      t += deployment.machine(s).now();
     }
     return t;
   }
@@ -91,16 +88,8 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
                               const core::PipelineArtifacts& artifacts,
                               const core::PipelineConfig& pipeline,
                               const PointSpec& spec, SpanMode mode) {
-  PointOutcome out;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
+  serve::DeploymentSpec deploy;
+  adapt::ServerGroupConfig& config = deploy.group;
   config.shards = kShards;
   config.shard.controller.pipeline = pipeline;
   config.shard.tasks_per_epoch = kTasksPerEpoch;
@@ -120,9 +109,14 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
         faultinject::MakeServingFaultHooks(
             {fault}, static_cast<isa::Addr>(chase.program().size())));
   }
-  YH_RETURN_IF_ERROR(config.Validate());
-
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
+  serve::FrontEndConfig& fe = deploy.front_end;
+  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
+  fe.arrival.rate_per_kcycle = spec.rate;
+  fe.arrival.horizon_cycles = spec.duration;
+  fe.arrival.seed = kSeed;
+  fe.queue_capacity = kQueueCapacity;
+  fe.scavengers_serve = true;
+  deploy.profiler.emplace();
 
   // Small ring + sink, the same flush-on-half-full streaming path `yhc spans
   // --perfetto` renders; the bench only counts what flows through it.
@@ -130,60 +124,18 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
   trace_config.capacity = 1 << 12;
   trace_config.mask = obs::kTraceSpan | obs::kTraceSlo;
   obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink([&out](const obs::TraceEvent&) { ++out.span_events; });
+  uint64_t span_events = 0;
+  recorder.SetSink([&span_events](const obs::TraceEvent&) { ++span_events; });
   if (mode != SpanMode::kNone) {
-    group.SetObservability(&recorder, nullptr);
+    deploy.trace = &recorder;
+    deploy.spans.emplace().enabled = mode == SpanMode::kEnabled;
+    deploy.slo.emplace().enabled = mode == SpanMode::kEnabled;
   }
 
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = spec.rate;
-  fe.arrival.horizon_cycles = spec.duration;
-  fe.queue_capacity = kQueueCapacity;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = kSeed + s;
-    shard_fe.id_seed = kSeed + s;
-    YH_RETURN_IF_ERROR(shard_fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) { return chase.SetupFor(static_cast<int>(id)); },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-
-    out.profilers.push_back(std::make_unique<obs::CycleProfiler>());
-    group.SetProfiler(s, out.profilers.back().get());
-
-    if (mode != SpanMode::kNone) {
-      obs::SpanCollectorConfig span_config;
-      span_config.enabled = mode == SpanMode::kEnabled;
-      out.spans.push_back(std::make_unique<obs::SpanCollector>(span_config));
-      out.spans.back()->SetTrace(&recorder);
-      obs::SloConfig slo_config;
-      slo_config.enabled = mode == SpanMode::kEnabled;
-      out.slos.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-      out.slos.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-      fronts.back()->SetSpanCollector(out.spans.back().get());
-      fronts.back()->SetSloEvaluator(out.slos.back().get());
-      group.SetSpanCollector(s, out.spans.back().get());
-      group.SetSloEvaluator(s, out.slos.back().get());
-    }
-  }
-
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  recorder.DrainToSink();
-  for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    out.fe.push_back(fronts[s]->report());
-    out.end_cycle.push_back(machine_ptrs[s]->now());
-    if (mode == SpanMode::kEnabled) {
-      YH_RETURN_IF_ERROR(out.spans[s]->VerifyExactness());
-    }
-  }
-  return out;
+  YH_ASSIGN_OR_RETURN(serve::Deployment deployment,
+                      serve::Deployment::Build(chase, artifacts, deploy));
+  YH_ASSIGN_OR_RETURN(adapt::GroupReport report, deployment.Run());
+  return PointOutcome{std::move(deployment), std::move(report), span_events};
 }
 
 uint64_t SpanTotal(const obs::SpanCollector& spans, obs::SpanClass cls) {
@@ -262,27 +214,31 @@ bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
     return false;
   }
   for (size_t s = 0; s < kShards; ++s) {
+    const serve::Deployment& da = a.deployment;
+    const serve::Deployment& db = b.deployment;
     uint64_t ta[obs::kNumSpanClasses], tb[obs::kNumSpanClasses];
-    a.spans[s]->AggregateTotals(ta, true);
-    b.spans[s]->AggregateTotals(tb, true);
+    da.spans(s)->AggregateTotals(ta, true);
+    db.spans(s)->AggregateTotals(tb, true);
     for (size_t c = 0; c < obs::kNumSpanClasses; ++c) {
       if (ta[c] != tb[c]) {
         return false;
       }
     }
-    if (a.spans[s]->completed_count() != b.spans[s]->completed_count() ||
-        a.profilers[s]->class_totals() != b.profilers[s]->class_totals() ||
-        a.slos[s]->total() != b.slos[s]->total() ||
-        a.slos[s]->bad() != b.slos[s]->bad() ||
-        a.slos[s]->alerts_fired() != b.slos[s]->alerts_fired() ||
-        a.fe[s].counters.offered != b.fe[s].counters.offered ||
-        a.fe[s].counters.shed != b.fe[s].counters.shed ||
-        a.fe[s].counters.completed != b.fe[s].counters.completed ||
-        a.fe[s].latency.P50() != b.fe[s].latency.P50() ||
-        a.fe[s].latency.P99() != b.fe[s].latency.P99() ||
-        a.fe[s].latency.ValueAtQuantile(0.999) !=
-            b.fe[s].latency.ValueAtQuantile(0.999) ||
-        a.end_cycle[s] != b.end_cycle[s]) {
+    const serve::FrontEndReport fa = da.front_end(s).report();
+    const serve::FrontEndReport fb = db.front_end(s).report();
+    if (da.spans(s)->completed_count() != db.spans(s)->completed_count() ||
+        da.profiler(s)->class_totals() != db.profiler(s)->class_totals() ||
+        da.slo(s)->total() != db.slo(s)->total() ||
+        da.slo(s)->bad() != db.slo(s)->bad() ||
+        da.slo(s)->alerts_fired() != db.slo(s)->alerts_fired() ||
+        fa.counters.offered != fb.counters.offered ||
+        fa.counters.shed != fb.counters.shed ||
+        fa.counters.completed != fb.counters.completed ||
+        fa.latency.P50() != fb.latency.P50() ||
+        fa.latency.P99() != fb.latency.P99() ||
+        fa.latency.ValueAtQuantile(0.999) !=
+            fb.latency.ValueAtQuantile(0.999) ||
+        da.machine(s).now() != db.machine(s).now()) {
       return false;
     }
   }
@@ -345,32 +301,35 @@ int main(int argc, char** argv) {
     uint64_t completed = 0;
     bool ledger_ok = true, reconcile_ok = true, partition_ok = true;
     std::string reconcile_detail, partition_detail;
+    const serve::Deployment& deployment = run->deployment;
     for (size_t s = 0; s < kShards; ++s) {
-      completed += run->spans[s]->completed_count();
-      ledger_ok = ledger_ok && run->fe[s].ConservationHolds();
-      reconcile_ok = reconcile_ok &&
-                     Reconciles(*run->spans[s], *run->profilers[s],
-                                &reconcile_detail);
-      partition_ok = partition_ok &&
-                     PartitionHolds(*run->profilers[s],
-                                    run->end_cycle[s] -
-                                        run->profilers[s]->run_begin_cycle(),
-                                    /*expect_epochs=*/spec.adapt,
-                                    &partition_detail);
+      const obs::CycleProfiler& profiler = *deployment.profiler(s);
+      completed += deployment.spans(s)->completed_count();
+      ledger_ok =
+          ledger_ok && deployment.front_end(s).report().ConservationHolds();
+      reconcile_ok = reconcile_ok && Reconciles(*deployment.spans(s), profiler,
+                                                &reconcile_detail);
+      partition_ok =
+          partition_ok &&
+          PartitionHolds(profiler,
+                         deployment.machine(s).now() - profiler.run_begin_cycle(),
+                         /*expect_epochs=*/spec.adapt, &partition_detail);
     }
     bool point_ok = ledger_ok && reconcile_ok && partition_ok;
     if (spec.adapt) {
+      constexpr obs::SpanClass kRequeue = obs::SpanClass::kRequeue;
+      constexpr obs::SpanClass kFreeze = obs::SpanClass::kFreeze;
       const bool rolled = run->report.rollbacks >= 1 && run->report.canaries >= 1;
       point_ok = point_ok && rolled;
       std::printf("  rollback point: canaries=%d rollbacks=%d slo_vetoes=%d "
                   "requeued_span_cycles=%s freeze_span_cycles=%s\n",
                   run->report.canaries, run->report.rollbacks,
                   run->report.slo_vetoes,
-                  WithCommas(SpanTotal(*run->spans[0], obs::SpanClass::kRequeue) +
-                             SpanTotal(*run->spans[1], obs::SpanClass::kRequeue))
+                  WithCommas(SpanTotal(*deployment.spans(0), kRequeue) +
+                             SpanTotal(*deployment.spans(1), kRequeue))
                       .c_str(),
-                  WithCommas(SpanTotal(*run->spans[0], obs::SpanClass::kFreeze) +
-                             SpanTotal(*run->spans[1], obs::SpanClass::kFreeze))
+                  WithCommas(SpanTotal(*deployment.spans(0), kFreeze) +
+                             SpanTotal(*deployment.spans(1), kFreeze))
                       .c_str());
       if (!rolled) {
         std::printf("  rollback point: no rollback observed (FAIL)\n");

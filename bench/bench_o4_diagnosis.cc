@@ -51,7 +51,7 @@
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/slo/slo.h"
 #include "src/obs/span/span.h"
-#include "src/serve/front_end.h"
+#include "src/serve/deployment.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -85,19 +85,15 @@ struct PointSpec {
 };
 
 struct PointOutcome {
-  std::vector<std::unique_ptr<obs::SpanCollector>> spans;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> slos;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<std::unique_ptr<obs::ExemplarReservoir>> exemplars;
-  std::vector<serve::FrontEndReport> fe;
-  std::vector<uint64_t> end_cycle;  // per-shard machine clock at drain
-  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
+  serve::Deployment deployment;
   adapt::GroupReport report;
+  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
 
+  // Per-shard machine clocks at drain, summed.
   uint64_t total_cycles() const {
     uint64_t t = 0;
-    for (const uint64_t c : end_cycle) {
-      t += c;
+    for (size_t s = 0; s < kShards; ++s) {
+      t += deployment.machine(s).now();
     }
     return t;
   }
@@ -107,16 +103,8 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
                               const core::PipelineArtifacts& artifacts,
                               const core::PipelineConfig& pipeline,
                               const PointSpec& spec, ObsMode mode) {
-  PointOutcome out;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
+  serve::DeploymentSpec deploy;
+  adapt::ServerGroupConfig& config = deploy.group;
   config.shards = kShards;
   config.shard.controller.pipeline = pipeline;
   config.shard.tasks_per_epoch = kTasksPerEpoch;
@@ -136,9 +124,15 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
         faultinject::MakeServingFaultHooks(
             {fault}, static_cast<isa::Addr>(chase.program().size())));
   }
-  YH_RETURN_IF_ERROR(config.Validate());
-
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
+  serve::FrontEndConfig& fe = deploy.front_end;
+  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
+  fe.arrival.rate_per_kcycle = spec.rate;
+  fe.arrival.horizon_cycles = spec.duration;
+  fe.arrival.seed = kSeed;
+  fe.queue_capacity = kQueueCapacity;
+  fe.scavengers_serve = true;
+  // Per-site epoch snapshots are what the diff engine ranks sites from.
+  deploy.profiler.emplace().epoch_site_snapshots = true;
 
   // Full observability stream: spans + SLO alerts + guard control windows,
   // the same mask `yhc spans --perfetto` renders; the drained events feed
@@ -147,139 +141,32 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
   trace_config.capacity = 1 << 12;
   trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
   obs::TraceRecorder recorder(trace_config);
+  std::vector<obs::TraceEvent> events;
   recorder.SetSink(
-      [&out](const obs::TraceEvent& event) { out.events.push_back(event); });
+      [&events](const obs::TraceEvent& event) { events.push_back(event); });
   if (mode != ObsMode::kNone) {
-    group.SetObservability(&recorder, nullptr);
+    const bool enabled = mode == ObsMode::kEnabled;
+    deploy.trace = &recorder;
+    deploy.spans.emplace().enabled = enabled;
+    deploy.slo.emplace().enabled = enabled;
+    obs::ExemplarReservoirConfig& exemplars = deploy.exemplars.emplace();
+    exemplars.enabled = enabled;
+    exemplars.top_k = kTopK;
+    exemplars.window_cycles = kWindowCycles;
   }
 
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = spec.rate;
-  fe.arrival.horizon_cycles = spec.duration;
-  fe.queue_capacity = kQueueCapacity;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = kSeed + s;
-    shard_fe.id_seed = kSeed + s;
-    YH_RETURN_IF_ERROR(shard_fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) { return chase.SetupFor(static_cast<int>(id)); },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-
-    // Per-site epoch snapshots are what the diff engine ranks sites from.
-    obs::CycleProfilerConfig prof_config;
-    prof_config.epoch_site_snapshots = true;
-    out.profilers.push_back(std::make_unique<obs::CycleProfiler>(prof_config));
-    group.SetProfiler(s, out.profilers.back().get());
-
-    if (mode != ObsMode::kNone) {
-      obs::SpanCollectorConfig span_config;
-      span_config.enabled = mode == ObsMode::kEnabled;
-      out.spans.push_back(std::make_unique<obs::SpanCollector>(span_config));
-      out.spans.back()->SetTrace(&recorder);
-      obs::SloConfig slo_config;
-      slo_config.enabled = mode == ObsMode::kEnabled;
-      out.slos.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-      out.slos.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-      obs::ExemplarReservoirConfig ex_config;
-      ex_config.enabled = mode == ObsMode::kEnabled;
-      ex_config.top_k = kTopK;
-      ex_config.window_cycles = kWindowCycles;
-      out.exemplars.push_back(
-          std::make_unique<obs::ExemplarReservoir>(ex_config));
-      out.spans.back()->SetExemplars(out.exemplars.back().get());
-      fronts.back()->SetSpanCollector(out.spans.back().get());
-      fronts.back()->SetSloEvaluator(out.slos.back().get());
-      group.SetSpanCollector(s, out.spans.back().get());
-      group.SetSloEvaluator(s, out.slos.back().get());
-      group.SetExemplar(s, out.exemplars.back().get());
-    }
-  }
-
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  recorder.DrainToSink();
-  for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    out.fe.push_back(fronts[s]->report());
-    out.end_cycle.push_back(machine_ptrs[s]->now());
-    if (mode == ObsMode::kEnabled) {
-      YH_RETURN_IF_ERROR(out.spans[s]->VerifyExactness());
-      YH_RETURN_IF_ERROR(out.exemplars[s]->VerifyExactness());
-    }
-  }
-  return out;
+  YH_ASSIGN_OR_RETURN(serve::Deployment deployment,
+                      serve::Deployment::Build(chase, artifacts, deploy));
+  YH_ASSIGN_OR_RETURN(adapt::GroupReport report, deployment.Run());
+  return PointOutcome{std::move(deployment), std::move(report),
+                      std::move(events)};
 }
 
-// Feeds one finished point into a DiffEngine: both taxonomies per shard,
-// guard decisions by their group epoch, SLO alerts by their cycle stamp —
-// the exact conversion `yhc why` performs.
+// Feeds one finished point into a DiffEngine: the exact conversion `yhc why`
+// performs, since both call serve::BuildDiffEngine.
 obs::DiffEngine BuildEngine(const PointOutcome& outcome) {
-  obs::DiffEngine engine;
-  for (size_t s = 0; s < kShards; ++s) {
-    engine.AddShard(outcome.profilers[s].get(), outcome.spans[s].get());
-  }
-  for (const adapt::GuardEvent& event : outcome.report.guard_log) {
-    obs::ControlEvent control;
-    control.epoch = event.epoch;
-    control.shard = event.shard;
-    control.generation_id = event.generation_id;
-    switch (event.kind) {
-      case adapt::GuardEventKind::kCanaryBegin:
-        control.kind = obs::ControlEvent::Kind::kCanaryBegin;
-        break;
-      case adapt::GuardEventKind::kPromote:
-        control.kind = obs::ControlEvent::Kind::kCanaryPromote;
-        break;
-      case adapt::GuardEventKind::kRollback:
-        control.kind = obs::ControlEvent::Kind::kCanaryRollback;
-        break;
-      case adapt::GuardEventKind::kPoisonBlocked:
-        control.kind = obs::ControlEvent::Kind::kPoisonBlocked;
-        break;
-      case adapt::GuardEventKind::kRebuildRetry:
-        control.kind = obs::ControlEvent::Kind::kRebuildRetry;
-        break;
-      case adapt::GuardEventKind::kWatchdogFire:
-        control.kind = obs::ControlEvent::Kind::kWatchdogFire;
-        break;
-      case adapt::GuardEventKind::kSloVeto:
-        control.kind = obs::ControlEvent::Kind::kSloVeto;
-        break;
-      case adapt::GuardEventKind::kStoreFallback:
-        continue;  // load-time artifact, not an epoch-window action
-      case adapt::GuardEventKind::kTenantQuarantine:
-      case adapt::GuardEventKind::kTenantVeto:
-        // Tenant-policy actions route evidence and vetoes, not generations;
-        // the veto's effect arrives as the kRollback it forces.
-        continue;
-    }
-    engine.AddControlEvent(control);
-  }
-  for (const obs::TraceEvent& event : outcome.events) {
-    if (event.type != obs::TraceEventType::kSloAlertFire &&
-        event.type != obs::TraceEventType::kSloAlertClear) {
-      continue;
-    }
-    obs::ControlEvent control;
-    control.kind = event.type == obs::TraceEventType::kSloAlertFire
-                       ? obs::ControlEvent::Kind::kSloAlertFire
-                       : obs::ControlEvent::Kind::kSloAlertClear;
-    control.shard = event.ctx_id >= 0 ? static_cast<size_t>(event.ctx_id) : 0;
-    control.cycle = event.cycle;
-    auto mapped = engine.EpochForCycle(control.shard, event.cycle);
-    if (!mapped.ok()) {
-      continue;
-    }
-    control.epoch = mapped.value();
-    engine.AddControlEvent(control);
-  }
-  return engine;
+  return serve::BuildDiffEngine(outcome.deployment, outcome.report,
+                                outcome.events);
 }
 
 obs::EpochSet Range(size_t lo, size_t hi) {
@@ -385,24 +272,28 @@ bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
     return false;
   }
   for (size_t s = 0; s < kShards; ++s) {
+    const serve::Deployment& da = a.deployment;
+    const serve::Deployment& db = b.deployment;
     uint64_t ta[obs::kNumSpanClasses], tb[obs::kNumSpanClasses];
-    a.spans[s]->AggregateTotals(ta, true);
-    b.spans[s]->AggregateTotals(tb, true);
+    da.spans(s)->AggregateTotals(ta, true);
+    db.spans(s)->AggregateTotals(tb, true);
     for (size_t c = 0; c < obs::kNumSpanClasses; ++c) {
       if (ta[c] != tb[c]) {
         return false;
       }
     }
-    if (a.spans[s]->completed_count() != b.spans[s]->completed_count() ||
-        a.profilers[s]->class_totals() != b.profilers[s]->class_totals() ||
-        a.slos[s]->total() != b.slos[s]->total() ||
-        a.slos[s]->bad() != b.slos[s]->bad() ||
-        a.slos[s]->alerts_fired() != b.slos[s]->alerts_fired() ||
-        a.fe[s].counters.offered != b.fe[s].counters.offered ||
-        a.fe[s].counters.completed != b.fe[s].counters.completed ||
-        a.fe[s].latency.P99() != b.fe[s].latency.P99() ||
-        a.end_cycle[s] != b.end_cycle[s] ||
-        !SameExemplars(*a.exemplars[s], *b.exemplars[s])) {
+    const serve::FrontEndReport fa = da.front_end(s).report();
+    const serve::FrontEndReport fb = db.front_end(s).report();
+    if (da.spans(s)->completed_count() != db.spans(s)->completed_count() ||
+        da.profiler(s)->class_totals() != db.profiler(s)->class_totals() ||
+        da.slo(s)->total() != db.slo(s)->total() ||
+        da.slo(s)->bad() != db.slo(s)->bad() ||
+        da.slo(s)->alerts_fired() != db.slo(s)->alerts_fired() ||
+        fa.counters.offered != fb.counters.offered ||
+        fa.counters.completed != fb.counters.completed ||
+        fa.latency.P99() != fb.latency.P99() ||
+        da.machine(s).now() != db.machine(s).now() ||
+        !SameExemplars(*da.exemplars(s), *db.exemplars(s))) {
       return false;
     }
   }
@@ -417,8 +308,8 @@ Result<std::string> RenderDiagnosis(const PointOutcome& outcome,
   obs::DiffEngine engine = BuildEngine(outcome);
   YH_ASSIGN_OR_RETURN(obs::DiffReport report, engine.Diff(baseline, current));
   std::vector<const obs::ExemplarReservoir*> reservoirs;
-  for (const auto& r : outcome.exemplars) {
-    reservoirs.push_back(r.get());
+  for (size_t s = 0; s < kShards; ++s) {
+    reservoirs.push_back(outcome.deployment.exemplars(s));
   }
   return obs::ToDiffJson(report,
                          obs::SupportingExemplars(reservoirs, current, 3));
@@ -665,7 +556,8 @@ int main(int argc, char** argv) {
       for (size_t s = 0; s < kShards; ++s) {
         // VerifyExactness already gated inside RunPoint; the offline sort is
         // the reservoir-specific claim.
-        if (!TopKMatchesOfflineSort(*outcome->spans[s], *outcome->exemplars[s],
+        if (!TopKMatchesOfflineSort(*outcome->deployment.spans(s),
+                                    *outcome->deployment.exemplars(s),
                                     &detail)) {
           std::printf("  exemplars: shard %zu FAIL (%s)\n", s, detail.c_str());
           exemplars_ok = false;
@@ -681,8 +573,8 @@ int main(int argc, char** argv) {
 
   if (!exemplar_out.empty() && rollback.ok()) {
     std::vector<const obs::ExemplarReservoir*> reservoirs;
-    for (const auto& r : rollback->exemplars) {
-      reservoirs.push_back(r.get());
+    for (size_t s = 0; s < kShards; ++s) {
+      reservoirs.push_back(rollback->deployment.exemplars(s));
     }
     const std::string perfetto =
         obs::ToPerfettoExemplarJson(reservoirs, /*cycles_per_ns=*/1.0);

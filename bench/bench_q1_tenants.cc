@@ -37,13 +37,12 @@
 //   * a fixed seed is deterministic: rerunning the aware scenario reproduces
 //     every victim counter and quantile bit for bit.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/adapt/server_group.h"
-#include "src/serve/front_end.h"
+#include "src/serve/deployment.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -94,15 +93,8 @@ Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
                                     const core::PipelineArtifacts& stale,
                                     const core::PipelineConfig& pipeline,
                                     bool tenant_aware) {
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    drifted.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
+  serve::DeploymentSpec spec;
+  adapt::ServerGroupConfig& config = spec.group;
   config.shards = kShards;
   config.shard.controller.pipeline = pipeline;
   config.shard.controller.drift_threshold = kDriftThreshold;
@@ -115,8 +107,6 @@ Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
   config.guard.confirmation_window = 3;
   config.guard.regression_ratio = 2.5;
   config.tenant_drift_threshold = tenant_aware ? kTenantDrift : 0.0;
-  YH_RETURN_IF_ERROR(config.Validate());
-  adapt::ServerGroup group(&drifted.program(), stale, machine_ptrs, config);
 
   serve::TenantSpec victim;
   victim.name = "victim";
@@ -126,38 +116,24 @@ Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
   antagonist.name = "antagonist";
   antagonist.priority = serve::TenantSpec::Class::kBackground;
   antagonist.share = 0.6;
+  serve::FrontEndConfig& fe = spec.front_end;
+  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
+  fe.arrival.rate_per_kcycle = kRate;
+  fe.arrival.horizon_cycles = kDuration;
+  fe.arrival.seed = kSeed;
+  fe.queue_capacity = kQueueCapacity;
+  fe.tenants = {victim, antagonist};
+  // The victim (foreground) serves the stable twin the instrumentation was
+  // built for; the antagonist keeps the drifting workload. No per-tenant SLO
+  // evaluator rides along: its modeled cost would move the measured tail.
+  spec.stable = &twin;
 
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig fe;
-    fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-    fe.arrival.rate_per_kcycle = kRate;
-    fe.arrival.horizon_cycles = kDuration;
-    fe.arrival.seed = kSeed + s;
-    fe.id_seed = kSeed + s;
-    fe.queue_capacity = kQueueCapacity;
-    fe.tenants = {victim, antagonist};
-    YH_RETURN_IF_ERROR(fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        fe,
-        [&drifted](uint64_t id) {
-          return drifted.SetupFor(static_cast<int>(id));
-        },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    // The victim serves the stable twin the instrumentation was built for;
-    // the antagonist keeps the shared (drifting) handler.
-    fronts.back()->SetTenantHandler(0, [&twin](uint64_t id) {
-      return twin.SetupFor(static_cast<int>(id));
-    });
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-  }
-
+  YH_ASSIGN_OR_RETURN(serve::Deployment deployment,
+                      serve::Deployment::Build(drifted, stale, spec));
   ScenarioOutcome outcome;
-  YH_ASSIGN_OR_RETURN(outcome.group, group.Run());
+  YH_ASSIGN_OR_RETURN(outcome.group, deployment.Run());
   for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    outcome.fronts.push_back(fronts[s]->report());
+    outcome.fronts.push_back(deployment.front_end(s).report());
     if (outcome.fronts.back().tenants.size() != 2) {
       return InternalError("front end lost a tenant ledger");
     }

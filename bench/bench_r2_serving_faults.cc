@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/faultinject/serving_faults.h"
 #include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
@@ -115,16 +115,17 @@ Result<double> FreshEfficiency(const workloads::PhasedChase& chase,
                                const core::PipelineConfig& pipeline) {
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config = ShardConfig(pipeline);
-  config.adapt_enabled = false;
-  adapt::AdaptiveServer server(&chase.program(), fresh, &machine, config);
-  server.SetScavengerBinary(&batch);
-  server.SetScavengerFactory(BatchFactory());
+  adapt::ServerGroupConfig config;
+  config.shard = ShardConfig(pipeline);
+  config.shard.adapt_enabled = false;
+  adapt::ServerGroup server(&chase.program(), fresh, {&machine}, config);
+  server.SetScavengerBinary(0, &batch);
+  server.SetScavengerFactory(0, BatchFactory());
   for (int i = 0; i < kRequestsPerShard; ++i) {
-    server.AddTask(chase.SetupFor(i));
+    server.AddTask(0, chase.SetupFor(i));
   }
-  YH_ASSIGN_OR_RETURN(const adapt::AdaptReport report, server.Run());
-  return report.run.CpuEfficiency();
+  YH_ASSIGN_OR_RETURN(const adapt::GroupReport report, server.Run());
+  return report.shards[0].run.CpuEfficiency();
 }
 
 struct GroupOutcome {

@@ -16,7 +16,6 @@
 #include "src/adapt/drift_score.h"
 #include "src/adapt/online_profile.h"
 #include "src/adapt/profile_store.h"
-#include "src/adapt/server.h"
 #include "src/adapt/server_group.h"
 #include "src/core/pipeline.h"
 #include "src/runtime/annotate.h"
@@ -432,7 +431,7 @@ TEST_F(ControllerTest, SeededQuarantineSurvivesRunWithoutRecounting) {
   }
 }
 
-// --- AdaptiveServer end-to-end ----------------------------------------------------
+// --- one-core serving (a ServerGroup with one shard) end-to-end ------------------
 
 adapt::AdaptiveServerConfig ServerConfig(const core::PipelineConfig& pipeline,
                                          bool adapting) {
@@ -442,6 +441,14 @@ adapt::AdaptiveServerConfig ServerConfig(const core::PipelineConfig& pipeline,
   config.adapt_enabled = adapting;
   config.scale_pool = adapting;
   config.dual.max_scavengers = 3;
+  return config;
+}
+
+// One core: a ServerGroup with a single shard.
+adapt::ServerGroupConfig OneCore(const adapt::AdaptiveServerConfig& shard) {
+  adapt::ServerGroupConfig config;
+  config.shards = 1;
+  config.shard = shard;
   return config;
 }
 
@@ -455,21 +462,23 @@ TEST(AdaptiveServerTest, DriftedWorkloadTriggersSwapAndStaysCorrect) {
 
   sim::Machine machine(config.machine);
   drifted.InitMemory(machine.memory());
-  adapt::AdaptiveServer server(&drifted.program(), stale, &machine,
-                               ServerConfig(config, /*adapting=*/true));
+  adapt::ServerGroup server(&drifted.program(), stale, {&machine},
+                            OneCore(ServerConfig(config, /*adapting=*/true)));
   // Shared binary mode (no SetScavengerBinary): scavengers run the primary
   // binary as extra chase tasks and are retired + respawned at the swap.
   auto counter = std::make_shared<int>(0);
   server.SetScavengerFactory(
-      [&drifted, counter]() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+      0, [&drifted, counter]()
+             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
         return drifted.SetupFor(100 + (*counter)++);
       });
   constexpr int kTasks = 24;
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(drifted.SetupFor(i));
+    server.AddTask(0, drifted.SetupFor(i));
   }
-  auto report = server.Run();
-  ASSERT_TRUE(report.ok()) << report.status();
+  auto group = server.Run();
+  ASSERT_TRUE(group.ok()) << group.status();
+  const adapt::AdaptReport* report = &group->shards[0];
 
   EXPECT_GE(report->swaps, 1);
   EXPECT_GE(report->run.binary_swaps, 1u);
@@ -493,14 +502,15 @@ TEST(AdaptiveServerTest, CleanStreamNeverSwaps) {
 
   sim::Machine machine(config.machine);
   twin.InitMemory(machine.memory());
-  adapt::AdaptiveServer server(&twin.program(), stale, &machine,
-                               ServerConfig(config, /*adapting=*/true));
+  adapt::ServerGroup server(&twin.program(), stale, {&machine},
+                            OneCore(ServerConfig(config, /*adapting=*/true)));
   constexpr int kTasks = 16;
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(twin.SetupFor(i));
+    server.AddTask(0, twin.SetupFor(i));
   }
-  auto report = server.Run();
-  ASSERT_TRUE(report.ok()) << report.status();
+  auto group = server.Run();
+  ASSERT_TRUE(group.ok()) << group.status();
+  const adapt::AdaptReport* report = &group->shards[0];
   // Hidden misses must not read as drift: no false-positive swaps.
   EXPECT_EQ(report->swaps, 0);
   EXPECT_EQ(report->run.binary_swaps, 0u);

@@ -81,6 +81,51 @@ TEST(CliTest, MetricsBadFormatExitsTwo) {
   EXPECT_NE(r.stderr_text.find("bad --format"), std::string::npos);
 }
 
+// Every command takes a closed flag set: a typo must not silently run the
+// default scenario (or the named file) and look like success. The files need
+// not exist — the flag is rejected before anything is read.
+struct UnknownFlagCase {
+  const char* name;     // test-name suffix
+  const char* command;  // as named in the error
+  const char* args;     // enough positionals/flags to select the mode
+};
+
+// Listings show the case by name, not as raw bytes.
+void PrintTo(const UnknownFlagCase& c, std::ostream* os) { *os << c.name; }
+
+class CliUnknownFlagTest : public ::testing::TestWithParam<UnknownFlagCase> {};
+
+TEST_P(CliUnknownFlagTest, ExitsTwoWithNamedError) {
+  const UnknownFlagCase& c = GetParam();
+  const CommandResult r =
+      RunYhc(std::string(c.command) + " " + c.args + " --bogus 1",
+             std::string("unknown_flag_") + c.name);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.stderr_text.find(std::string("yhc ") + c.command +
+                               ": unknown flag '--bogus'"),
+            std::string::npos)
+      << r.stderr_text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryCommand, CliUnknownFlagTest,
+    ::testing::Values(UnknownFlagCase{"asm", "asm", "in.s out.yh"},
+                      UnknownFlagCase{"dis", "dis", "in.yh"},
+                      UnknownFlagCase{"cfg", "cfg", "in.yh"},
+                      UnknownFlagCase{"interval", "interval", "in.yh"},
+                      UnknownFlagCase{"run", "run", "in.yh"},
+                      UnknownFlagCase{"profile_file", "profile",
+                                      "in.yh --out in.prof"},
+                      UnknownFlagCase{"instrument", "instrument",
+                                      "in.yh --profile in.prof --out o.yh"},
+                      UnknownFlagCase{"chaos", "chaos", "in.yh --fault drop:1"},
+                      UnknownFlagCase{"adapt", "adapt", ""},
+                      UnknownFlagCase{"trace", "trace", ""},
+                      UnknownFlagCase{"metrics", "metrics", ""}),
+    [](const ::testing::TestParamInfo<UnknownFlagCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- observability exports ---------------------------------------------------
 
 TEST(CliTest, TraceExportsValidChromeJson) {

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "src/adapt/server.h"
+#include "src/adapt/server_group.h"
 #include "src/analysis/cfg.h"
 #include "src/cli/options.h"
 #include "src/common/strings.h"
@@ -54,8 +54,7 @@
 #include "src/isa/program_io.h"
 #include "src/profile/profile_io.h"
 #include "src/runtime/annotate.h"
-#include "src/serve/arrival.h"
-#include "src/serve/front_end.h"
+#include "src/serve/deployment.h"
 #include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
 #include "src/workloads/phased_chase.h"
@@ -66,6 +65,10 @@ namespace {
 using cli::Options;
 
 int CmdAsm(Options& options) {
+  options.RejectUnknownFlags("asm", {});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 2) {
     std::fprintf(stderr, "usage: yhc asm <in.s> <out.yh>\n");
     return 2;
@@ -93,6 +96,10 @@ int CmdAsm(Options& options) {
 }
 
 int CmdDis(Options& options) {
+  options.RejectUnknownFlags("dis", {});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1) {
     std::fprintf(stderr, "usage: yhc dis <in.yh>\n");
     return 2;
@@ -107,6 +114,10 @@ int CmdDis(Options& options) {
 }
 
 int CmdCfg(Options& options) {
+  options.RejectUnknownFlags("cfg", {});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1) {
     std::fprintf(stderr, "usage: yhc cfg <in.yh>\n");
     return 2;
@@ -126,6 +137,10 @@ int CmdCfg(Options& options) {
 }
 
 int CmdInterval(Options& options) {
+  options.RejectUnknownFlags("interval", {});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1) {
     std::fprintf(stderr, "usage: yhc interval <in.yh>\n");
     return 2;
@@ -148,6 +163,10 @@ int CmdInterval(Options& options) {
 }
 
 int CmdRun(Options& options) {
+  options.RejectUnknownFlags("run", {"group", "max-insns"});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1) {
     std::fprintf(stderr, "usage: yhc run <in.yh> [--group N] [--reg N=V] "
                          "[--ring base,lines,stride] [--max-insns N]\n");
@@ -204,6 +223,10 @@ int CmdProfile(Options& options) {
   if (options.Has("folded") || options.Has("top") || options.Has("json")) {
     return CmdProfileAttribution(options);
   }
+  options.RejectUnknownFlags("profile", {"out", "period"});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1 || !options.Has("out")) {
     std::fprintf(stderr,
                  "usage: yhc profile <in.yh> --out <prof> [--period N] "
@@ -252,6 +275,11 @@ int CmdProfile(Options& options) {
 }
 
 int CmdInstrument(Options& options) {
+  options.RejectUnknownFlags("instrument",
+                             {"profile", "out", "interval", "threshold"});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1 || !options.Has("profile") ||
       !options.Has("out")) {
     std::fprintf(stderr,
@@ -336,6 +364,11 @@ int CmdInstrument(Options& options) {
 // the shell: sanitize drops, confidence-gate quarantine, verification
 // fallback, and the runtime site quarantine.
 int CmdChaos(Options& options) {
+  options.RejectUnknownFlags("chaos",
+                             {"fault", "group", "period", "seed", "quarantine"});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() != 1 || !options.Has("fault")) {
     std::fprintf(stderr,
                  "usage: yhc chaos <in.yh> --fault=<class:sev>[,...] [--group N] "
@@ -507,23 +540,27 @@ int CmdChaos(Options& options) {
   return slowdown <= 1.15 ? 0 : 1;
 }
 
-// Shared by `yhc adapt` and `yhc serve`: the drifting-PhasedChase serving
-// scenario — a stale binary built from a severity-0 twin, today's traffic
-// drawing phase B with P = --severity.
+// Shared by every serving command: the drifting-PhasedChase scenario — a
+// stale binary built from a severity-0 twin, today's traffic drawing phase B
+// with P = severity from task `flip_task_index` on. `metrics`, when set,
+// receives the telemetry of the stale build and of every online rebuild.
 struct AdaptScenario {
   core::PipelineConfig pipeline;
   core::PipelineArtifacts stale;
-  workloads::PhasedChase chase;
+  workloads::PhasedChase twin;   // yesterday's traffic, which `stale` fits
+  workloads::PhasedChase chase;  // today's traffic
 };
 
-Result<AdaptScenario> BuildAdaptScenario(uint64_t nodes, uint64_t steps,
-                                         double severity, int flip_task_index) {
+Result<AdaptScenario> BuildAdaptScenario(
+    uint64_t nodes, uint64_t steps, double severity, int flip_task_index,
+    obs::MetricsRegistry* metrics = nullptr) {
   core::PipelineConfig pipeline;
   pipeline.machine = sim::MachineConfig::SkylakeLike();
   pipeline.collector.l2_miss_period = 29;
   pipeline.collector.stall_cycles_period = 199;
   pipeline.collector.retired_period = 61;
   pipeline.collector.period_jitter = 0.1;
+  pipeline.metrics = metrics;
   pipeline.Finalize();
 
   workloads::PhasedChase::Config yesterday;
@@ -540,18 +577,120 @@ Result<AdaptScenario> BuildAdaptScenario(uint64_t nodes, uint64_t steps,
   today.flip_task_index = flip_task_index;
   YH_ASSIGN_OR_RETURN(workloads::PhasedChase chase,
                       workloads::PhasedChase::Make(today));
-  return AdaptScenario{std::move(pipeline), std::move(stale), std::move(chase)};
+  return AdaptScenario{std::move(pipeline), std::move(stale), std::move(twin),
+                       std::move(chase)};
+}
+
+// The group every serving command runs the scenario on: rebuilds go through
+// the scenario's pipeline, and four scavenger slots hide 300-cycle windows.
+adapt::ServerGroupConfig ScenarioGroup(const AdaptScenario& scenario,
+                                       uint64_t shards, uint64_t epoch,
+                                       bool adapting, double threshold) {
+  adapt::ServerGroupConfig config;
+  config.shards = shards;
+  config.shard.controller.pipeline = scenario.pipeline;
+  config.shard.controller.drift_threshold = threshold;
+  config.shard.tasks_per_epoch = static_cast<int>(epoch);
+  config.shard.adapt_enabled = adapting;
+  config.shard.scale_pool = adapting;
+  config.shard.dual.max_scavengers = 4;
+  config.shard.dual.hide_window_cycles = 300;
+  return config;
+}
+
+// Serving-layer chaos (docs/ROBUSTNESS.md): --fault takes the serving fault
+// classes (rebuild_fail, backmap, regress, stall, store_corrupt); the
+// pipeline classes belong to `yhc chaos`. Installs the hooks in `config` and
+// returns the parsed specs, or prints the named error and returns nullopt
+// (a usage error).
+std::optional<std::vector<faultinject::FaultSpec>> ApplyServingFaults(
+    const std::string& fault_list, const AdaptScenario& scenario,
+    const char* command, adapt::ServerGroupConfig* config) {
+  if (fault_list.empty()) {
+    return std::vector<faultinject::FaultSpec>{};
+  }
+  auto specs = faultinject::ParseFaultList(fault_list);
+  if (!specs.ok()) {
+    std::fprintf(stderr, "yhc %s: %s\n", command,
+                 specs.status().ToString().c_str());
+    return std::nullopt;
+  }
+  auto hooks = faultinject::MakeServingFaultHooks(
+      *specs, static_cast<isa::Addr>(scenario.chase.program().size()));
+  if (!hooks.ok()) {
+    std::fprintf(stderr, "yhc %s: %s\n", command,
+                 hooks.status().ToString().c_str());
+    return std::nullopt;
+  }
+  config->fault_hooks = std::move(hooks).value();
+  return std::move(specs).value();
+}
+
+// Closed-loop serving of the scenario: shard s serves chase tasks
+// [s*tasks, (s+1)*tasks) on its own machine, and its scavengers serve extra
+// chase requests from a range no task reaches — shared-binary mode, so they
+// are swapped together with the primary binary. Every task's result is then
+// checked on its shard's memory image.
+struct ClosedLoopRun {
+  adapt::GroupReport report;
+  int wrong = 0;  // tasks whose chase result is wrong
+};
+
+Result<ClosedLoopRun> ServeClosedLoop(const AdaptScenario& scenario,
+                                      const adapt::ServerGroupConfig& config,
+                                      int tasks,
+                                      obs::TraceRecorder* trace = nullptr,
+                                      obs::MetricsRegistry* metrics = nullptr,
+                                      obs::CycleProfiler* profiler = nullptr) {
+  const workloads::PhasedChase& chase = scenario.chase;
+  const int shards = static_cast<int>(config.shards);
+  std::vector<std::unique_ptr<sim::Machine>> machines;
+  std::vector<sim::Machine*> machine_ptrs;
+  for (int s = 0; s < shards; ++s) {
+    machines.push_back(
+        std::make_unique<sim::Machine>(scenario.pipeline.machine));
+    chase.InitMemory(machines.back()->memory());
+    machine_ptrs.push_back(machines.back().get());
+  }
+  adapt::ServerGroup group(&chase.program(), scenario.stale, machine_ptrs,
+                           config);
+  group.SetObservability(trace, metrics);
+  group.SetProfiler(0, profiler);
+  for (int s = 0; s < shards; ++s) {
+    for (int i = 0; i < tasks; ++i) {
+      group.AddTask(s, chase.SetupFor(s * tasks + i));
+    }
+    int extra = shards * tasks + s * 100000;
+    group.SetScavengerFactory(
+        s, [&chase, extra]() mutable
+               -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+          return chase.SetupFor(extra++);
+        });
+  }
+  ClosedLoopRun run;
+  YH_ASSIGN_OR_RETURN(run.report, group.Run());
+  for (int s = 0; s < shards; ++s) {
+    for (int i = 0; i < tasks; ++i) {
+      const int index = s * tasks + i;
+      if (chase.ReadResult(machines[s]->memory(), index) !=
+          chase.ExpectedResult(index)) {
+        ++run.wrong;
+      }
+    }
+  }
+  return run;
 }
 
 // Online adaptation demo (docs/ONLINE.md), end to end from the shell: serve a
 // drifting PhasedChase request stream from a STALE binary and let the adapt
-// subsystem repair it live. Yesterday's instrumentation comes from a
-// severity-0 twin (all traffic phase A, same rings, same program); today's
-// mix draws phase B with P = --severity, whose loads the stale binary never
-// covers. AdaptiveServer keeps a low-period sampling session attached,
-// scores drift each --epoch tasks, and past --threshold re-instruments the
-// original binary and hot-swaps it at a task boundary. --adapt 0 demotes the
-// controller to a monitor-only control run (scores drift, never acts).
+// subsystem repair it live on one core (a ServerGroup with one shard).
+// Yesterday's instrumentation comes from a severity-0 twin (all traffic
+// phase A, same rings, same program); today's mix draws phase B with
+// P = --severity, whose loads the stale binary never covers. The shard keeps
+// a low-period sampling session attached, scores drift each --epoch tasks,
+// and past --threshold re-instruments the original binary and hot-swaps it
+// at a task boundary. --adapt 0 demotes the controller to a monitor-only
+// control run (scores drift, never acts).
 int CmdAdapt(Options& options) {
   const uint64_t tasks = options.PositiveU64("tasks", 32);
   const uint64_t epoch = options.PositiveU64("epoch", 8);
@@ -561,6 +700,9 @@ int CmdAdapt(Options& options) {
   const uint64_t adapt_on = options.U64("adapt", 1);
   const double severity = options.UnitDouble("severity", 1.0);
   const double threshold = options.Double("threshold", 0.25);
+  options.RejectUnknownFlags("adapt", {"tasks", "epoch", "flip", "nodes",
+                                       "steps", "adapt", "severity",
+                                       "threshold"});
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -573,65 +715,37 @@ int CmdAdapt(Options& options) {
   }
   std::printf("stale instrumentation (phase-A profile): %s\n",
               scenario->stale.Summary().c_str());
-  const workloads::PhasedChase& chase = scenario->chase;
-
-  sim::Machine machine(scenario->pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = scenario->pipeline;
-  config.controller.drift_threshold = threshold;
-  config.tasks_per_epoch = static_cast<int>(epoch);
-  config.adapt_enabled = adapt_on != 0;
-  config.scale_pool = adapt_on != 0;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
+  const adapt::ServerGroupConfig config =
+      ScenarioGroup(*scenario, 1, epoch, adapt_on != 0, threshold);
   const Status valid = config.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 2;
   }
-  adapt::AdaptiveServer server(&chase.program(), scenario->stale, &machine,
-                               config);
   const int n = static_cast<int>(tasks);
-  for (int i = 0; i < n; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  // Shared-binary mode: scavengers serve extra chase requests and get swapped
-  // together with the primary binary.
-  int extra = n;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
-
-  auto report = server.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "adaptive run failed: %s\n", report.status().ToString().c_str());
+  auto run = ServeClosedLoop(*scenario, config, n);
+  if (!run.ok()) {
+    std::fprintf(stderr, "adaptive run failed: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const adapt::AdaptReport& report = run->report.shards[0];
   std::printf("%-6s %-6s %-11s %-6s %-6s %-4s %-5s %s\n", "epoch", "tasks",
               "cycles", "eff", "drift", "cap", "occ", "swap");
-  for (const adapt::EpochTelemetry& e : report->epochs) {
+  for (const adapt::EpochTelemetry& e : report.epochs) {
     std::printf("%-6zu %-6zu %-11s %-6.3f %-6.3f %-4zu %-5.2f %s\n", e.epoch,
                 e.tasks_completed, WithCommas(e.cycles).c_str(), e.efficiency,
                 e.drift, e.pool_cap, e.burst_occupancy, e.swapped ? "SWAP" : "-");
   }
-  std::printf("%s\n", report->Summary().c_str());
+  std::printf("%s\n", report.Summary().c_str());
 
   // Correctness across any number of mid-run hot swaps: every request must
   // still produce the phase-correct chase result.
-  int wrong = 0;
-  for (int i = 0; i < n; ++i) {
-    if (chase.ReadResult(machine.memory(), i) != chase.ExpectedResult(i)) {
-      ++wrong;
-    }
-  }
-  if (wrong != 0) {
-    std::fprintf(stderr, "%d/%d results WRONG after adaptation\n", wrong, n);
+  if (run->wrong != 0) {
+    std::fprintf(stderr, "%d/%d results WRONG after adaptation\n", run->wrong,
+                 n);
     return 1;
   }
-  std::printf("%d/%d results correct; swaps=%d\n", n, n, report->swaps);
+  std::printf("%d/%d results correct; swaps=%d\n", n, n, report.swaps);
   return 0;
 }
 
@@ -672,26 +786,20 @@ int CmdServeOpenLoop(Options& options) {
   }
 
   // Repeatable --tenant name:class:share[:budget]; per-spec field errors and
-  // set-level errors (duplicate names, shares summing past 1.0) are named and
-  // exit 2 like any other usage problem. No --tenant = the implicit single
-  // foreground tenant — existing invocations are unchanged bit for bit.
-  std::vector<serve::TenantSpec> tenants;
-  for (const std::string& spec : tenant_flags) {
-    auto parsed = serve::ParseTenantSpec(spec);
+  // set-level errors (duplicate names, shares summing past 1.0, checked when
+  // the deployment is built) are named and exit 2 like any other usage
+  // problem. No --tenant = the implicit single foreground tenant — existing
+  // invocations are unchanged bit for bit.
+  serve::DeploymentSpec spec;
+  serve::FrontEndConfig& fe = spec.front_end;
+  for (const std::string& tenant : tenant_flags) {
+    auto parsed = serve::ParseTenantSpec(tenant);
     if (!parsed.ok()) {
       std::fprintf(stderr, "yhc serve: %s\n",
                    parsed.status().ToString().c_str());
       return 2;
     }
-    tenants.push_back(std::move(parsed).value());
-  }
-  if (!tenants.empty()) {
-    const Status tenant_valid = serve::ValidateTenantSet(tenants);
-    if (!tenant_valid.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   tenant_valid.ToString().c_str());
-      return 2;
-    }
+    fe.tenants.push_back(std::move(parsed).value());
   }
 
   auto scenario = BuildAdaptScenario(nodes, steps, severity, /*flip=*/0);
@@ -699,127 +807,40 @@ int CmdServeOpenLoop(Options& options) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  const workloads::PhasedChase& chase = scenario->chase;
-
-  // Multi-tenant noisy-neighbor shape: FOREGROUND tenants serve the stable
-  // severity-0 twin (the workload the stale binary was built for) while
-  // BACKGROUND tenants serve the drifting stream — `--tenant victim:fg:...
-  // --tenant antagonist:bg:... --severity X` reproduces the Q1 antagonist
-  // scenario from the shell. The twin shares the chase's program and ring
-  // layout, so both run on the same machine image.
-  std::optional<workloads::PhasedChase> stable;
-  if (tenants.size() > 1) {
-    workloads::PhasedChase::Config stable_config;
-    stable_config.num_nodes = nodes;
-    stable_config.steps_per_task = steps;
-    stable_config.severity = 0.0;
-    auto twin = workloads::PhasedChase::Make(stable_config);
-    if (!twin.ok()) {
-      std::fprintf(stderr, "%s\n", twin.status().ToString().c_str());
-      return 1;
-    }
-    stable.emplace(std::move(twin).value());
-  }
-
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.guard.enabled = guard_on != 0;
-  config.guard.confirmation_window = static_cast<int>(guard_window);
-  config.guard.regression_ratio = guard_ratio;
-  config.tenant_drift_threshold = tenant_drift;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  spec.group = ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
+  spec.group.guard.enabled = guard_on != 0;
+  spec.group.guard.confirmation_window = static_cast<int>(guard_window);
+  spec.group.guard.regression_ratio = guard_ratio;
+  spec.group.tenant_drift_threshold = tenant_drift;
+  if (!ApplyServingFaults(fault_list, *scenario, "serve", &spec.group)) {
     return 2;
   }
-
-  if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   specs.status().ToString().c_str());
-      return 2;
-    }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
-  }
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
-  obs::MetricsRegistry metrics;
-  group.SetObservability(nullptr, &metrics);
-
-  serve::FrontEndConfig fe;
   fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
                                        : serve::ArrivalConfig::Kind::kPoisson;
   fe.arrival.rate_per_kcycle = rate;
   fe.arrival.horizon_cycles = duration;
+  fe.arrival.seed = seed;
   fe.queue_capacity = queue_cap;
   fe.scavengers_serve = scavenge != 0;
-  fe.tenants = tenants;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> tenant_slos;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;  // independent streams per shard
-    shard_fe.id_seed = seed + s;       // namespaced deterministic request ids
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    obs::Labels labels;
-    if (shards > 1) {
-      labels = obs::LabelSet().Shard(s).Build();
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        nullptr, &metrics, std::move(labels)));
-    for (size_t t = 0; t < fronts.back()->tenants().size(); ++t) {
-      const serve::TenantSpec& spec = fronts.back()->tenants()[t];
-      if (stable.has_value() && !spec.background()) {
-        fronts.back()->SetTenantHandler(
-            t, [victim = &*stable](uint64_t id) {
-              return victim->SetupFor(static_cast<int>(id));
-            });
-      }
-      if (spec.p99_budget_cycles > 0) {
-        obs::SloConfig tenant_slo;
-        tenant_slo.latency_budget_cycles = spec.p99_budget_cycles;
-        tenant_slos.push_back(std::make_unique<obs::SloEvaluator>(tenant_slo));
-        fronts.back()->SetTenantSloEvaluator(t, tenant_slos.back().get());
-      }
-    }
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
+  // Multi-tenant noisy-neighbor shape: FOREGROUND tenants serve the stable
+  // severity-0 twin (the workload the stale binary was built for) while
+  // BACKGROUND tenants serve the drifting stream — `--tenant victim:fg:...
+  // --tenant antagonist:bg:... --severity X` reproduces the Q1 antagonist
+  // scenario from the shell.
+  if (fe.tenants.size() > 1) {
+    spec.stable = &scenario->twin;
   }
-
-  auto report = group.Run();
+  obs::MetricsRegistry metrics;
+  spec.metrics = &metrics;
+  spec.tenant_slos = true;
+  auto deployment =
+      serve::Deployment::Build(scenario->chase, scenario->stale, spec);
+  if (!deployment.ok()) {
+    std::fprintf(stderr, "yhc serve: %s\n",
+                 deployment.status().ToString().c_str());
+    return 2;
+  }
+  auto report = deployment->Run();
   if (!report.ok()) {
     std::fprintf(stderr, "open-loop serve failed: %s\n",
                  report.status().ToString().c_str());
@@ -838,9 +859,8 @@ int CmdServeOpenLoop(Options& options) {
               "p999", "ledger");
   bool conserved = true;
   for (uint64_t s = 0; s < shards; ++s) {
-    const serve::FrontEndReport fr = fronts[s]->report();
-    const bool ok = fr.ConservationHolds() && fr.TenantLedgersConsistent() &&
-                    fronts[s]->status().ok();
+    const serve::FrontEndReport fr = deployment->front_end(s).report();
+    const bool ok = fr.ConservationHolds() && fr.TenantLedgersConsistent();
     conserved = conserved && ok;
     std::printf("%-6llu %-8llu %-9llu %-6llu %-10llu %-9llu %-9llu %-9llu %s\n",
                 static_cast<unsigned long long>(s),
@@ -910,17 +930,9 @@ int CmdServe(Options& options) {
   }
   std::printf("stale instrumentation (phase-A profile): %s\n",
               scenario->stale.Summary().c_str());
-  const workloads::PhasedChase& chase = scenario->chase;
 
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
+  adapt::ServerGroupConfig config =
+      ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
   config.profile_path = store_path;
   config.warm_start = warm != 0;
   config.guard.enabled = guard_on != 0;
@@ -931,75 +943,36 @@ int CmdServe(Options& options) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 2;
   }
-
-  // Serving-layer chaos (docs/ROBUSTNESS.md): --fault takes the serving
-  // fault classes (rebuild_fail, backmap, regress, stall, store_corrupt);
-  // the pipeline classes belong to `yhc chaos`.
-  if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   specs.status().ToString().c_str());
-      return 2;
-    }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
-    for (const faultinject::FaultSpec& spec : *specs) {
-      if (spec.fault == faultinject::FaultClass::kStoreCorrupt &&
-          !store_path.empty()) {
-        // Rot the persisted store before the warm start reads it; a missing
-        // file just means there is nothing to corrupt yet.
-        const Status rotted = faultinject::CorruptStoreFile(store_path, spec);
-        if (rotted.ok()) {
-          std::printf("store file %s corrupted (severity %.2f)\n",
-                      store_path.c_str(), spec.severity);
-        }
+  const auto faults = ApplyServingFaults(fault_list, *scenario, "serve", &config);
+  if (!faults.has_value()) {
+    return 2;
+  }
+  for (const faultinject::FaultSpec& spec : *faults) {
+    if (spec.fault == faultinject::FaultClass::kStoreCorrupt &&
+        !store_path.empty()) {
+      // Rot the persisted store before the warm start reads it; a missing
+      // file just means there is nothing to corrupt yet.
+      const Status rotted = faultinject::CorruptStoreFile(store_path, spec);
+      if (rotted.ok()) {
+        std::printf("store file %s corrupted (severity %.2f)\n",
+                    store_path.c_str(), spec.severity);
       }
     }
   }
 
-  // One simulated core per shard, each with its own memory image of the
-  // chase rings; shard s serves task indices [s*tasks, (s+1)*tasks).
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale,
-                           machine_ptrs, config);
   const int n = static_cast<int>(tasks);
-  for (uint64_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < n; ++i) {
-      group.AddTask(s, chase.SetupFor(static_cast<int>(s) * n + i));
-    }
-    int extra = static_cast<int>(shards) * n + static_cast<int>(s) * 100000;
-    group.SetScavengerFactory(
-        s, [&chase, extra]() mutable
-               -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-          return chase.SetupFor(extra++);
-        });
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
+  auto run = ServeClosedLoop(*scenario, config, n);
+  if (!run.ok()) {
     std::fprintf(stderr, "sharded run failed: %s\n",
-                 report.status().ToString().c_str());
+                 run.status().ToString().c_str());
     return 1;
   }
+  const adapt::GroupReport& report = run->report;
 
   std::printf("%-6s %-7s %-6s %-7s %-7s %s\n", "shard", "epochs", "swaps",
               "drift", "eff", "last epochs (drift)");
-  for (size_t s = 0; s < report->shards.size(); ++s) {
-    const adapt::AdaptReport& r = report->shards[s];
+  for (size_t s = 0; s < report.shards.size(); ++s) {
+    const adapt::AdaptReport& r = report.shards[s];
     std::string tail;
     const size_t shown = r.epochs.size() < 4 ? r.epochs.size() : 4;
     for (size_t e = r.epochs.size() - shown; e < r.epochs.size(); ++e) {
@@ -1010,14 +983,14 @@ int CmdServe(Options& options) {
                 r.swaps, r.final_drift, 100.0 * r.run.CpuEfficiency(),
                 tail.c_str());
   }
-  for (const auto& [swap_epoch, shard] : report->swap_log) {
+  for (const auto& [swap_epoch, shard] : report.swap_log) {
     std::printf("swap: epoch %zu shard %zu\n", swap_epoch, shard);
   }
 
   // The stagger invariant, verified from the audit trail: no two installs
   // share a group epoch.
   std::set<size_t> swap_epochs;
-  for (const auto& [swap_epoch, shard] : report->swap_log) {
+  for (const auto& [swap_epoch, shard] : report.swap_log) {
     if (!swap_epochs.insert(swap_epoch).second) {
       std::fprintf(stderr, "stagger VIOLATED: two swaps in epoch %zu\n",
                    swap_epoch);
@@ -1026,40 +999,31 @@ int CmdServe(Options& options) {
   }
 
   // Correctness on every shard's own memory image.
-  int wrong = 0;
-  for (uint64_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < n; ++i) {
-      const int index = static_cast<int>(s) * n + i;
-      if (chase.ReadResult(machines[s]->memory(), index) !=
-          chase.ExpectedResult(index)) {
-        ++wrong;
-      }
-    }
-  }
-  if (wrong != 0) {
+  if (run->wrong != 0) {
     std::fprintf(stderr, "%d/%d results WRONG after sharded adaptation\n",
-                 wrong, static_cast<int>(shards) * n);
+                 run->wrong, static_cast<int>(shards) * n);
     return 1;
   }
-  for (const adapt::GuardEvent& event : report->guard_log) {
+  for (const adapt::GuardEvent& event : report.guard_log) {
     std::printf("guard: %s\n", event.ToString().c_str());
   }
-  std::printf("%s\n", report->Summary().c_str());
+  std::printf("%s\n", report.Summary().c_str());
   std::printf("%d/%d results correct; stagger ok (%zu installs, %d rebuilds)\n",
               static_cast<int>(shards) * n, static_cast<int>(shards) * n,
-              report->swap_log.size(), report->rebuilds);
+              report.swap_log.size(), report.rebuilds);
   if (!store_path.empty()) {
     std::printf("profile store saved to %s (warm_started=%s)\n",
-                store_path.c_str(), report->warm_started ? "yes" : "no");
+                store_path.c_str(), report.warm_started ? "yes" : "no");
   }
   return 0;
 }
 
-// Shared by `yhc trace` / `yhc metrics`: the CmdAdapt scenario — serve a
-// drifting PhasedChase stream from a stale binary with online adaptation on —
-// with observability attached and smaller defaults, so one command produces a
-// trace/metrics snapshot covering profile, instrument, run, and adapt.
-// Prints progress to stderr only; stdout belongs to the caller's export.
+// Shared by `yhc trace` / `yhc metrics` / `yhc profile`: the CmdAdapt
+// scenario — serve a drifting PhasedChase stream from a stale binary with
+// online adaptation on — with observability attached and smaller defaults, so
+// one command produces a trace/metrics snapshot covering profile, instrument,
+// run, and adapt. Prints progress to stderr only; stdout belongs to the
+// caller's export.
 int RunObservedAdaptScenario(Options& options, obs::TraceRecorder* trace,
                              obs::MetricsRegistry* metrics,
                              double* cycles_per_ns_out,
@@ -1073,74 +1037,27 @@ int RunObservedAdaptScenario(Options& options, obs::TraceRecorder* trace,
     return options.UsageError();
   }
 
-  core::PipelineConfig pipeline;
-  pipeline.machine = sim::MachineConfig::SkylakeLike();
-  pipeline.collector.l2_miss_period = 29;
-  pipeline.collector.stall_cycles_period = 199;
-  pipeline.collector.retired_period = 61;
-  pipeline.collector.period_jitter = 0.1;
-  pipeline.metrics = metrics;
-  pipeline.Finalize();
+  // Traffic may drift from task 8 on, the PhasedChase default.
+  auto scenario =
+      BuildAdaptScenario(nodes, steps, severity, /*flip=*/8, metrics);
+  if (!scenario.ok()) {
+    std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
+    return 1;
+  }
   if (cycles_per_ns_out != nullptr) {
-    *cycles_per_ns_out = pipeline.machine.cycles_per_ns;
+    *cycles_per_ns_out = scenario->pipeline.machine.cycles_per_ns;
   }
-
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = nodes;
-  yesterday.steps_per_task = steps;
-  yesterday.severity = 0.0;
-  auto twin = workloads::PhasedChase::Make(yesterday);
-  if (!twin.ok()) {
-    std::fprintf(stderr, "%s\n", twin.status().ToString().c_str());
-    return 1;
-  }
-  auto stale = core::BuildInstrumentedForWorkload(*twin, pipeline);
-  if (!stale.ok()) {
-    std::fprintf(stderr, "stale build failed: %s\n",
-                 stale.status().ToString().c_str());
-    return 1;
-  }
-
-  workloads::PhasedChase::Config today = yesterday;
-  today.severity = severity;
-  auto made = workloads::PhasedChase::Make(today);
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-    return 1;
-  }
-  const workloads::PhasedChase chase = std::move(made).value();
-
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = static_cast<int>(epoch);
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), *stale, &machine, config);
-  server.SetObservability(trace, metrics);
-  if (profiler != nullptr) {
-    server.SetProfiler(profiler);
-  }
-  const int n = static_cast<int>(tasks);
-  for (int i = 0; i < n; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  int extra = n;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
-
-  auto report = server.Run();
-  if (!report.ok()) {
+  adapt::ServerGroupConfig config = ScenarioGroup(
+      *scenario, 1, epoch, /*adapting=*/true, /*threshold=*/0.25);
+  config.shard.drift_aware_sampling = true;
+  auto run = ServeClosedLoop(*scenario, config, static_cast<int>(tasks), trace,
+                             metrics, profiler);
+  if (!run.ok()) {
     std::fprintf(stderr, "adaptive run failed: %s\n",
-                 report.status().ToString().c_str());
+                 run.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "%s\n", report->Summary().c_str());
+  std::fprintf(stderr, "%s\n", run->report.shards[0].Summary().c_str());
   return 0;
 }
 
@@ -1224,22 +1141,28 @@ int CmdProfileAttribution(Options& options) {
   return EmitDocument(options, doc);
 }
 
-// Shared by `yhc spans` / `yhc slo`: the open-loop serving scenario
-// (CmdServeOpenLoop's shape, smaller defaults) with a SpanCollector and an
-// SloEvaluator wired per shard — the front end feeds admission/harvest
+// Shared by `yhc spans` / `yhc slo` / `yhc why`: the open-loop serving
+// scenario (CmdServeOpenLoop's shape, smaller defaults) with a SpanCollector
+// and an SloEvaluator per shard — the front end feeds admission/harvest
 // transitions and SLO records, the scheduler feeds the execution interior.
-// Span/SLO trace events stream through a small-ring TraceRecorder's sink
-// (flush-on-half-full), which is what --perfetto renders.
-struct SpanScenarioResult {
-  std::vector<std::unique_ptr<obs::SpanCollector>> collectors;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> evaluators;
-  std::vector<serve::FrontEndReport> fe_reports;
-  std::vector<obs::TraceEvent> span_events;  // kSpanBegin/kSpanEnd, drained
+// Span/SLO/guard trace events stream through a small-ring TraceRecorder's
+// sink (flush-on-half-full) into `events`, which --perfetto renders.
+//
+// `diagnose` is `yhc why`: a planted mid-stream workload flip (--severity/
+// --flip) and, optionally, adaptation + the guard + injected serving faults
+// (--adapt/--guard/--fault), so the diagnosis has both failure modes to tell
+// apart. Every diagnostic feed rides along per shard: a CycleProfiler with
+// per-site epoch snapshots, span slices, and a tail ExemplarReservoir.
+struct ObservedServe {
+  std::optional<serve::Deployment> deployment;
+  adapt::GroupReport report;
+  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
   double cycles_per_ns = 1.0;
 };
 
-int RunSpanServeScenario(Options& options, const obs::SloConfig& slo_config,
-                         SpanScenarioResult* out) {
+int RunObservedServe(Options& options, const char* command,
+                     const obs::SloConfig& slo, bool diagnose,
+                     ObservedServe* out) {
   const uint64_t shards = options.PositiveU64("shards", 1);
   const uint64_t epoch = options.PositiveU64("epoch", 8);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
@@ -1247,120 +1170,91 @@ int RunSpanServeScenario(Options& options, const obs::SloConfig& slo_config,
   const std::string arrival =
       options.Choice("arrival", "poisson", {"poisson", "burst"});
   const double rate = options.PositiveDouble("rate", 0.02);
-  const uint64_t duration = options.PositiveU64("duration", 1'000'000);
+  const uint64_t duration =
+      options.PositiveU64("duration", diagnose ? 4'000'000 : 1'000'000);
   const uint64_t seed = options.PositiveU64("seed", 1);
   const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
+  // Only `yhc why` accepts these; spans and slo reject them as unknown.
+  const double severity = options.UnitDouble("severity", diagnose ? 1.0 : 0.0);
+  const uint64_t flip = options.U64("flip", diagnose ? 40 : 0);
+  const uint64_t adapt_on = options.U64("adapt", 0);
+  const uint64_t guard_on = options.U64("guard", 0);
+  const double threshold = options.Double("threshold", 0.25);
+  const std::string fault_list = options.Str("fault", "");
   if (!options.ok()) {
     return options.UsageError();
   }
 
-  auto scenario = BuildAdaptScenario(nodes, steps, /*severity=*/0.0,
-                                     /*flip=*/0);
+  auto scenario =
+      BuildAdaptScenario(nodes, steps, severity, static_cast<int>(flip));
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  const workloads::PhasedChase& chase = scenario->chase;
   out->cycles_per_ns = scenario->pipeline.machine.cycles_per_ns;
 
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = false;  // steady serving; spans, not swaps
-  config.shard.scale_pool = false;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  serve::DeploymentSpec spec;
+  spec.group = ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
+  if (guard_on != 0) {
+    spec.group.guard.enabled = true;
+    spec.group.guard.confirmation_window = 2;
+    spec.group.guard.consult_slo = true;
+  }
+  if (!ApplyServingFaults(fault_list, *scenario, command, &spec.group)) {
     return 2;
   }
+  spec.front_end.arrival.kind = arrival == "burst"
+                                    ? serve::ArrivalConfig::Kind::kBurst
+                                    : serve::ArrivalConfig::Kind::kPoisson;
+  spec.front_end.arrival.rate_per_kcycle = rate;
+  spec.front_end.arrival.horizon_cycles = duration;
+  spec.front_end.arrival.seed = seed;
+  spec.front_end.queue_capacity = queue_cap;
 
   // Small ring + sink: the exported stream comes from the flush-on-half-full
   // drain, not a post-run snapshot — same machinery `yhc profile` exercises.
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
   // Guard rides along so `--perfetto` renders canary confirmation windows as
   // control-plane track slices over the request timelines (trace.cc / span.cc
   // share the state machine); with adaptation off the category is just empty.
+  obs::TraceConfig trace_config;
+  trace_config.capacity = 1 << 12;
   trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
   obs::TraceRecorder recorder(trace_config);
   recorder.SetSink([out](const obs::TraceEvent& event) {
-    out->span_events.push_back(event);
+    out->events.push_back(event);
   });
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
+  spec.trace = &recorder;
+  spec.spans.emplace();
+  spec.slo = slo;
+  if (diagnose) {
+    // Per-site deltas need per-site epoch slices.
+    spec.profiler.emplace().epoch_site_snapshots = true;
+    spec.exemplars.emplace();
   }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
-  group.SetObservability(&recorder, nullptr);
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
-                                       : serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = rate;
-  fe.arrival.horizon_cycles = duration;
-  fe.queue_capacity = queue_cap;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;
-    shard_fe.id_seed = seed + s;
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc spans: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        &recorder, nullptr, obs::Labels{}));
-    out->collectors.push_back(std::make_unique<obs::SpanCollector>());
-    out->collectors.back()->SetTrace(&recorder);
-    out->evaluators.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-    out->evaluators.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-    fronts.back()->SetSpanCollector(out->collectors.back().get());
-    fronts.back()->SetSloEvaluator(out->evaluators.back().get());
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-    group.SetSpanCollector(s, out->collectors.back().get());
-    group.SetSloEvaluator(s, out->evaluators.back().get());
+  auto deployment =
+      serve::Deployment::Build(scenario->chase, scenario->stale, spec);
+  if (!deployment.ok()) {
+    std::fprintf(stderr, "yhc %s: %s\n", command,
+                 deployment.status().ToString().c_str());
+    return 2;
   }
-
-  auto report = group.Run();
+  auto report = deployment->Run();
   if (!report.ok()) {
-    std::fprintf(stderr, "span serve scenario failed: %s\n",
+    std::fprintf(stderr, "%s scenario failed: %s\n", command,
                  report.status().ToString().c_str());
     return 1;
   }
-  recorder.DrainToSink();
-
   uint64_t completed = 0;
-  for (uint64_t s = 0; s < shards; ++s) {
-    const Status exact = out->collectors[s]->VerifyExactness();
-    if (!exact.ok()) {
-      std::fprintf(stderr, "internal error: span exactness broken: %s\n",
-                   exact.ToString().c_str());
-      return 1;
-    }
-    completed += out->collectors[s]->completed_count();
-    out->fe_reports.push_back(fronts[s]->report());
+  for (size_t s = 0; s < deployment->shards(); ++s) {
+    completed += deployment->spans(s)->completed_count();
   }
   std::fprintf(stderr,
                "spans: %llu request span trees closed across %llu shard(s), "
                "exact to the cycle\n",
                static_cast<unsigned long long>(completed),
                static_cast<unsigned long long>(shards));
+  out->report = std::move(report).value();
+  out->deployment.emplace(std::move(deployment).value());
   return 0;
 }
 
@@ -1388,14 +1282,15 @@ int CmdSpans(Options& options) {
     return options.UsageError();
   }
 
-  SpanScenarioResult result;
-  const int run = RunSpanServeScenario(options, obs::SloConfig{}, &result);
+  ObservedServe result;
+  const int run = RunObservedServe(options, "spans", obs::SloConfig{},
+                                   /*diagnose=*/false, &result);
   if (run != 0) {
     return run;
   }
   std::vector<const obs::SpanCollector*> shards;
-  for (const auto& collector : result.collectors) {
-    shards.push_back(collector.get());
+  for (size_t s = 0; s < result.deployment->shards(); ++s) {
+    shards.push_back(result.deployment->spans(s));
   }
   std::string doc;
   if (options.Has("top")) {
@@ -1403,7 +1298,7 @@ int CmdSpans(Options& options) {
   } else if (options.Has("json")) {
     doc = obs::ToSpanJson(shards);
   } else {
-    doc = obs::ToPerfettoSpanJson(result.span_events, result.cycles_per_ns);
+    doc = obs::ToPerfettoSpanJson(result.events, result.cycles_per_ns);
   }
   if (!options.Has("top")) {
     const Status valid = obs::ValidateJson(doc);
@@ -1448,17 +1343,15 @@ int CmdSlo(Options& options) {
                  "[serve scenario flags]\n");
     return 2;
   }
-  const Status valid = slo.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "yhc slo: %s\n", valid.ToString().c_str());
-    return 2;
-  }
 
-  SpanScenarioResult result;
-  const int run = RunSpanServeScenario(options, slo, &result);
+  // An inconsistent SloConfig is a named usage error from the deployment.
+  ObservedServe result;
+  const int run =
+      RunObservedServe(options, "slo", slo, /*diagnose=*/false, &result);
   if (run != 0) {
     return run;
   }
+  const serve::Deployment& deployment = *result.deployment;
   if (options.Has("json")) {
     // Machine-readable compliance report (RFC 8259, gated by ValidateJson
     // like every other --json export).
@@ -1472,8 +1365,8 @@ int CmdSlo(Options& options) {
         static_cast<unsigned long long>(slo.fast_window_cycles),
         static_cast<unsigned long long>(slo.slow_window_cycles),
         slo.fast_burn_threshold, slo.slow_burn_threshold);
-    for (size_t s = 0; s < result.evaluators.size(); ++s) {
-      const obs::SloEvaluator& eval = *result.evaluators[s];
+    for (size_t s = 0; s < deployment.shards(); ++s) {
+      const obs::SloEvaluator& eval = *deployment.slo(s);
       json += StrFormat(
           "  {\"shard\": %zu, \"total\": %llu, \"bad\": %llu, "
           "\"fast_burn\": %.6f, \"slow_burn\": %.6f, "
@@ -1483,7 +1376,7 @@ int CmdSlo(Options& options) {
           static_cast<unsigned long long>(eval.bad()), eval.FastBurnRate(),
           eval.SlowBurnRate(), eval.alert_active() ? "true" : "false",
           eval.alerts_fired(), eval.alerts_cleared(),
-          s + 1 < result.evaluators.size() ? "," : "");
+          s + 1 < deployment.shards() ? "," : "");
     }
     json += "]}\n";
     const Status valid_json = obs::ValidateJson(json);
@@ -1501,182 +1394,10 @@ int CmdSlo(Options& options) {
       WithCommas(slo.fast_window_cycles).c_str(),
       WithCommas(slo.slow_window_cycles).c_str(), slo.fast_burn_threshold,
       slo.slow_burn_threshold);
-  for (size_t s = 0; s < result.evaluators.size(); ++s) {
-    doc += StrFormat("shard %zu: %s\n", s,
-                     result.evaluators[s]->Summary().c_str());
+  for (size_t s = 0; s < deployment.shards(); ++s) {
+    doc += StrFormat("shard %zu: %s\n", s, deployment.slo(s)->Summary().c_str());
   }
   return EmitDocument(options, doc);
-}
-
-// `yhc why` scenario: the open-loop serving loop of RunSpanServeScenario with
-// a planted mid-stream workload flip (--severity/--flip) and, optionally,
-// adaptation + the guard + injected serving faults (--adapt/--guard/--fault)
-// so the diagnosis has both failure modes to tell apart. Every diagnostic
-// feed rides along per shard: a CycleProfiler with per-site epoch snapshots,
-// a SpanCollector with per-epoch span slices, and a tail ExemplarReservoir.
-struct WhyScenarioResult {
-  std::vector<std::unique_ptr<obs::SpanCollector>> collectors;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> evaluators;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<std::unique_ptr<obs::ExemplarReservoir>> exemplars;
-  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
-  adapt::GroupReport report;
-  double cycles_per_ns = 1.0;
-};
-
-int RunWhyScenario(Options& options, WhyScenarioResult* out) {
-  const uint64_t shards = options.PositiveU64("shards", 1);
-  const uint64_t epoch = options.PositiveU64("epoch", 8);
-  const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
-  const uint64_t steps = options.PositiveU64("steps", 300);
-  const double severity = options.UnitDouble("severity", 1.0);
-  const uint64_t flip = options.U64("flip", 40);
-  const uint64_t adapt_on = options.U64("adapt", 0);
-  const uint64_t guard_on = options.U64("guard", 0);
-  const double threshold = options.Double("threshold", 0.25);
-  const std::string fault_list = options.Str("fault", "");
-  const std::string arrival =
-      options.Choice("arrival", "poisson", {"poisson", "burst"});
-  const double rate = options.PositiveDouble("rate", 0.02);
-  const uint64_t duration = options.PositiveU64("duration", 4'000'000);
-  const uint64_t seed = options.PositiveU64("seed", 1);
-  const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
-  if (!options.ok()) {
-    return options.UsageError();
-  }
-
-  auto scenario =
-      BuildAdaptScenario(nodes, steps, severity, static_cast<int>(flip));
-  if (!scenario.ok()) {
-    std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
-    return 1;
-  }
-  const workloads::PhasedChase& chase = scenario->chase;
-  out->cycles_per_ns = scenario->pipeline.machine.cycles_per_ns;
-
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.guard.enabled = guard_on != 0;
-  if (guard_on != 0) {
-    config.guard.confirmation_window = 2;
-    config.guard.consult_slo = true;
-  }
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-    return 2;
-  }
-  if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", specs.status().ToString().c_str());
-      return 2;
-    }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
-  }
-
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
-  trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
-  obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink([out](const obs::TraceEvent& event) {
-    out->events.push_back(event);
-  });
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
-  group.SetObservability(&recorder, nullptr);
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
-                                       : serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = rate;
-  fe.arrival.horizon_cycles = duration;
-  fe.queue_capacity = queue_cap;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;
-    shard_fe.id_seed = seed + s;
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        &recorder, nullptr, obs::Labels{}));
-    obs::CycleProfilerConfig prof_config;
-    prof_config.epoch_site_snapshots = true;  // per-site deltas need slices
-    out->profilers.push_back(
-        std::make_unique<obs::CycleProfiler>(prof_config));
-    group.SetProfiler(s, out->profilers.back().get());
-    out->collectors.push_back(std::make_unique<obs::SpanCollector>());
-    out->collectors.back()->SetTrace(&recorder);
-    out->exemplars.push_back(std::make_unique<obs::ExemplarReservoir>());
-    out->collectors.back()->SetExemplars(out->exemplars.back().get());
-    out->evaluators.push_back(
-        std::make_unique<obs::SloEvaluator>(obs::SloConfig{}));
-    out->evaluators.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-    fronts.back()->SetSpanCollector(out->collectors.back().get());
-    fronts.back()->SetSloEvaluator(out->evaluators.back().get());
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-    group.SetSpanCollector(s, out->collectors.back().get());
-    group.SetSloEvaluator(s, out->evaluators.back().get());
-    group.SetExemplar(s, out->exemplars.back().get());
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "why scenario failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  recorder.DrainToSink();
-  out->report = std::move(report).value();
-
-  for (uint64_t s = 0; s < shards; ++s) {
-    const Status exact = out->collectors[s]->VerifyExactness();
-    if (!exact.ok()) {
-      std::fprintf(stderr, "internal error: span exactness broken: %s\n",
-                   exact.ToString().c_str());
-      return 1;
-    }
-    const Status ex_exact = out->exemplars[s]->VerifyExactness();
-    if (!ex_exact.ok()) {
-      std::fprintf(stderr, "internal error: exemplar exactness broken: %s\n",
-                   ex_exact.ToString().c_str());
-      return 1;
-    }
-  }
-  return 0;
 }
 
 // Automated "why is p99 up?" diagnosis (docs/OBSERVABILITY.md): diff the
@@ -1748,16 +1469,15 @@ int CmdWhy(Options& options) {
     }
   }
 
-  WhyScenarioResult result;
-  const int run = RunWhyScenario(options, &result);
+  ObservedServe result;
+  const int run = RunObservedServe(options, "why", obs::SloConfig{},
+                                   /*diagnose=*/true, &result);
   if (run != 0) {
     return run;
   }
 
-  obs::DiffEngine engine;
-  for (size_t s = 0; s < result.collectors.size(); ++s) {
-    engine.AddShard(result.profilers[s].get(), result.collectors[s].get());
-  }
+  obs::DiffEngine engine =
+      serve::BuildDiffEngine(*result.deployment, result.report, result.events);
   const size_t epochs = engine.epoch_count();
   if (epochs < 2) {
     std::fprintf(stderr,
@@ -1765,66 +1485,6 @@ int CmdWhy(Options& options) {
                  "to diff (raise --duration or --rate)\n",
                  epochs);
     return 1;
-  }
-
-  // Guard decisions carry their group epoch directly; SLO alert fire/clear
-  // events carry a cycle stamp the engine maps onto the firing shard's epoch
-  // timeline. Both join the report; only guard ACTIONS can flip the cause.
-  for (const adapt::GuardEvent& event : result.report.guard_log) {
-    obs::ControlEvent control;
-    control.epoch = event.epoch;
-    control.shard = event.shard;
-    control.generation_id = event.generation_id;
-    switch (event.kind) {
-      case adapt::GuardEventKind::kCanaryBegin:
-        control.kind = obs::ControlEvent::Kind::kCanaryBegin;
-        break;
-      case adapt::GuardEventKind::kPromote:
-        control.kind = obs::ControlEvent::Kind::kCanaryPromote;
-        break;
-      case adapt::GuardEventKind::kRollback:
-        control.kind = obs::ControlEvent::Kind::kCanaryRollback;
-        break;
-      case adapt::GuardEventKind::kPoisonBlocked:
-        control.kind = obs::ControlEvent::Kind::kPoisonBlocked;
-        break;
-      case adapt::GuardEventKind::kRebuildRetry:
-        control.kind = obs::ControlEvent::Kind::kRebuildRetry;
-        break;
-      case adapt::GuardEventKind::kWatchdogFire:
-        control.kind = obs::ControlEvent::Kind::kWatchdogFire;
-        break;
-      case adapt::GuardEventKind::kSloVeto:
-        control.kind = obs::ControlEvent::Kind::kSloVeto;
-        break;
-      case adapt::GuardEventKind::kStoreFallback:
-        continue;  // load-time artifact, not an epoch-window action
-      case adapt::GuardEventKind::kTenantQuarantine:
-      case adapt::GuardEventKind::kTenantVeto:
-        // Tenant-policy actions: the veto's effect already arrives as the
-        // kRollback it forces, and a quarantine changes evidence routing,
-        // not the serving generation — neither is a cause on its own.
-        continue;
-    }
-    engine.AddControlEvent(control);
-  }
-  for (const obs::TraceEvent& event : result.events) {
-    if (event.type != obs::TraceEventType::kSloAlertFire &&
-        event.type != obs::TraceEventType::kSloAlertClear) {
-      continue;
-    }
-    obs::ControlEvent control;
-    control.kind = event.type == obs::TraceEventType::kSloAlertFire
-                       ? obs::ControlEvent::Kind::kSloAlertFire
-                       : obs::ControlEvent::Kind::kSloAlertClear;
-    control.shard = event.ctx_id >= 0 ? static_cast<size_t>(event.ctx_id) : 0;
-    control.cycle = event.cycle;
-    auto mapped = engine.EpochForCycle(control.shard, event.cycle);
-    if (!mapped.ok()) {
-      continue;
-    }
-    control.epoch = mapped.value();
-    engine.AddControlEvent(control);
   }
 
   if (!generation_spec.empty()) {
@@ -1889,8 +1549,8 @@ int CmdWhy(Options& options) {
     return 2;
   }
   std::vector<const obs::ExemplarReservoir*> reservoirs;
-  for (const auto& reservoir : result.exemplars) {
-    reservoirs.push_back(reservoir.get());
+  for (size_t s = 0; s < result.deployment->shards(); ++s) {
+    reservoirs.push_back(result.deployment->exemplars(s));
   }
   const std::vector<obs::Exemplar> supporting =
       obs::SupportingExemplars(reservoirs, report->current,
@@ -1918,6 +1578,8 @@ int CmdTrace(Options& options) {
   const uint64_t capacity =
       options.PositiveU64("capacity", trace_config.capacity);
   const uint64_t mask = options.U64("mask", obs::kDefaultTraceMask);
+  options.RejectUnknownFlags("trace", {"capacity", "mask", "out", "tasks",
+                                       "epoch", "nodes", "steps", "severity"});
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -1950,6 +1612,11 @@ int CmdTrace(Options& options) {
 // attached and print it as JSON and/or Prometheus text — or, with two
 // positional snapshot files, diff them without running anything.
 int CmdMetrics(Options& options) {
+  options.RejectUnknownFlags("metrics", {"format", "out", "tasks", "epoch",
+                                         "nodes", "steps", "severity"});
+  if (!options.ok()) {
+    return options.UsageError();
+  }
   if (options.positional().size() == 2) {
     // Diff mode: yhc metrics <a.json> <b.json>
     std::map<std::string, double> parsed[2];
