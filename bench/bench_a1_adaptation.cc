@@ -17,9 +17,10 @@
 //   fresh    — binary re-profiled offline on TODAY'S mix (profile_first_task
 //              aimed at the drifted stream): the oracle the online loop is
 //              trying to reach without a maintenance window;
-//   adapt    — stale binary + a one-shard ServerGroup: online re-profiling at low
-//              sampling periods, drift scoring each 8-task epoch, rebuild +
-//              hot-swap at a safe point, occupancy-driven pool scaling.
+//   adapt    — stale binary served by a one-shard ServerGroup: online
+//              re-profiling at low sampling periods, drift scoring each
+//              8-task epoch, rebuild + hot-swap at a safe point,
+//              occupancy-driven pool scaling.
 //
 // Gates (exit non-zero on violation):
 //   * severity 0.0: the adapting run must NOT swap (no false positives) —

@@ -309,11 +309,12 @@ int main(int argc, char** argv) {
           ledger_ok && deployment.front_end(s).report().ConservationHolds();
       reconcile_ok = reconcile_ok && Reconciles(*deployment.spans(s), profiler,
                                                 &reconcile_detail);
-      partition_ok =
-          partition_ok &&
-          PartitionHolds(profiler,
-                         deployment.machine(s).now() - profiler.run_begin_cycle(),
-                         /*expect_epochs=*/spec.adapt, &partition_detail);
+      const uint64_t run_cycles =
+          deployment.machine(s).now() - profiler.run_begin_cycle();
+      partition_ok = partition_ok &&
+                     PartitionHolds(profiler, run_cycles,
+                                    /*expect_epochs=*/spec.adapt,
+                                    &partition_detail);
     }
     bool point_ok = ledger_ok && reconcile_ok && partition_ok;
     if (spec.adapt) {

@@ -22,8 +22,8 @@
 //
 // To audit whether an instrumentation actually pays for itself, attach an
 // obs::CycleProfiler to the step-(iii) scheduler (SetProfiler on either
-// runtime, or on adapt::AdaptiveServer): it classifies every cycle of the
-// run into a closed per-site taxonomy that sums to RunReport::total_cycles
+// runtime, or per shard on adapt::ServerGroup): it classifies every cycle of
+// the run into a closed per-site taxonomy that sums to RunReport::total_cycles
 // exactly, keyed by ORIGINAL-binary site so hot swaps don't split the
 // series. See docs/PROFILER.md and `yhc profile`.
 #ifndef YIELDHIDE_SRC_CORE_PIPELINE_H_

@@ -98,7 +98,8 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
       if (spec.tenant_slos && tenant.p99_budget_cycles > 0) {
         obs::SloConfig budget;
         budget.latency_budget_cycles = tenant.p99_budget_cycles;
-        parts.tenant_slos.push_back(std::make_unique<obs::SloEvaluator>(budget));
+        parts.tenant_slos.push_back(
+            std::make_unique<obs::SloEvaluator>(budget));
         front.SetTenantSloEvaluator(t, parts.tenant_slos.back().get());
       }
     }

@@ -63,8 +63,9 @@ struct DeploymentSpec {
 class Deployment {
  public:
   // Checks the spec — the first violated precondition is a named
-  // InvalidArgument — then builds every part. `workload`, `spec.stable`,
-  // `spec.trace` and `spec.metrics` must outlive the deployment.
+  // InvalidArgument — then builds every part. `workload` and `spec.stable`
+  // must outlive the deployment; `spec.trace` and `spec.metrics` must outlive
+  // Run() (nothing reads them afterwards).
   static Result<Deployment> Build(const workloads::SimWorkload& workload,
                                   core::PipelineArtifacts stale,
                                   const DeploymentSpec& spec);

@@ -431,7 +431,7 @@ TEST_F(ControllerTest, SeededQuarantineSurvivesRunWithoutRecounting) {
   }
 }
 
-// --- one-core serving (a ServerGroup with one shard) end-to-end ------------------
+// --- one-core serving (a ServerGroup with one shard) end-to-end -------------
 
 adapt::AdaptiveServerConfig ServerConfig(const core::PipelineConfig& pipeline,
                                          bool adapting) {

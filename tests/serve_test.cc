@@ -1,12 +1,16 @@
 // Tests for the open-loop serving layer (src/serve): the deterministic
 // arrival processes, the staged connection pipeline, the ShardFrontEnd's
 // bounded queue / shed accounting / conservation ledger, scavenger-served
-// queued requests, and the per-epoch attribution slices the serving path
-// feeds into CycleProfiler.
+// queued requests, the per-epoch attribution slices the serving path feeds
+// into CycleProfiler, and the Deployment that wires a whole scenario.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/adapt/server_group.h"
@@ -15,6 +19,7 @@
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
 #include "src/serve/arrival.h"
+#include "src/serve/deployment.h"
 #include "src/serve/front_end.h"
 #include "src/serve/pipeline.h"
 #include "src/workloads/phased_chase.h"
@@ -585,6 +590,293 @@ TEST(ServerGroupTenantTest, AntagonistQuarantineNeverTouchesTheVictim) {
     EXPECT_TRUE(fronts[s]->status().ok()) << fronts[s]->status();
   }
 }
+
+// ---------- Deployment: one builder for the whole scenario ------------------
+
+// A small Q1-shaped scenario with every observer attached: a foreground
+// tenant with a p99 budget serving the stable twin, a background tenant
+// serving the drifted stream, adaptation and the guard on (tenant-blind, so
+// the drift drives canaries and control windows through spans/exemplars).
+struct DeploymentScenario {
+  core::PipelineConfig pipeline;
+  workloads::PhasedChase twin;
+  workloads::PhasedChase drifted;
+  core::PipelineArtifacts stale;
+};
+
+DeploymentScenario MakeDeploymentScenario() {
+  workloads::PhasedChase::Config wc;
+  wc.num_nodes = 4096;  // 256 KiB per ring > SmallTest L3: true misses
+  wc.steps_per_task = 300;
+  wc.severity = 0.0;
+  auto twin = workloads::PhasedChase::Make(wc).value();
+  wc.severity = 1.0;
+  wc.flip_task_index = 0;
+  auto drifted = workloads::PhasedChase::Make(wc).value();
+  core::PipelineConfig pipeline;
+  pipeline.machine = sim::MachineConfig::SmallTest();
+  pipeline.profile_tasks = 2;
+  pipeline.collector.l2_miss_period = 13;
+  pipeline.collector.stall_cycles_period = 101;
+  pipeline.collector.retired_period = 29;
+  pipeline.Finalize();
+  auto stale = core::BuildInstrumentedForWorkload(twin, pipeline).value();
+  return DeploymentScenario{pipeline, std::move(twin), std::move(drifted),
+                            std::move(stale)};
+}
+
+DeploymentSpec FullSpec(const DeploymentScenario& scenario) {
+  DeploymentSpec spec;
+  spec.group.shards = 2;
+  spec.group.shard.controller.pipeline = scenario.pipeline;
+  spec.group.shard.tasks_per_epoch = 4;
+  spec.group.shard.dual.max_scavengers = 3;
+  spec.group.guard.enabled = true;
+  spec.group.guard.confirmation_window = 2;
+  spec.group.guard.consult_slo = true;
+  spec.front_end = LoopConfig(0.05, 500'000, 8, /*scavenge=*/true);
+  TenantSpec victim;
+  victim.name = "victim";
+  victim.share = 0.6;
+  victim.p99_budget_cycles = 400'000;
+  TenantSpec noisy;
+  noisy.name = "noisy";
+  noisy.priority = TenantSpec::Class::kBackground;
+  noisy.share = 0.4;
+  spec.front_end.tenants = {victim, noisy};
+  spec.stable = &scenario.twin;
+  spec.profiler.emplace().epoch_site_snapshots = true;
+  spec.spans.emplace();
+  spec.slo.emplace();
+  spec.exemplars.emplace().top_k = 4;
+  spec.tenant_slos = true;
+  return spec;
+}
+
+obs::TraceConfig SpanTraceConfig() {
+  obs::TraceConfig config;
+  config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
+  return config;
+}
+
+// What one shard's serving leaves behind, for comparing two wirings.
+struct ShardOutcome {
+  FrontEndReport front;
+  std::array<uint64_t, obs::kNumCycleClasses> cycle_classes{};
+  std::array<uint64_t, obs::kNumSpanClasses> span_classes{};
+  // Per retained exemplar: id, latency, and the serving context the group
+  // stamped on it (generation, epoch, guard window).
+  std::vector<std::array<uint64_t, 5>> exemplars;
+  std::array<uint64_t, 3> slo{};  // total, bad, alerts fired
+  uint64_t end_cycle = 0;
+};
+
+ShardOutcome Capture(const FrontEndReport& front,
+                     const obs::CycleProfiler& profiler,
+                     const obs::SpanCollector& spans,
+                     const obs::ExemplarReservoir& exemplars,
+                     const obs::SloEvaluator& slo, uint64_t end_cycle) {
+  ShardOutcome out;
+  out.front = front;
+  out.cycle_classes = profiler.class_totals();
+  spans.AggregateTotals(out.span_classes.data(), /*include_active=*/true);
+  for (const obs::Exemplar& e : exemplars.Merged()) {
+    out.exemplars.push_back(
+        {e.span.id, e.span.latency(),
+         static_cast<uint64_t>(e.context.generation_id), e.context.epoch,
+         e.context.control_window ? 1u : 0u});
+  }
+  out.slo = {slo.total(), slo.bad(), slo.alerts_fired()};
+  out.end_cycle = end_cycle;
+  return out;
+}
+
+// The reference: the scenario FullSpec describes, wired by hand the way every
+// caller did before Deployment existed.
+std::vector<ShardOutcome> RunHandWired(const DeploymentScenario& scenario,
+                                       const DeploymentSpec& spec,
+                                       obs::TraceRecorder* trace,
+                                       obs::MetricsRegistry* metrics) {
+  const size_t shards = spec.group.shards;
+  std::vector<std::unique_ptr<sim::Machine>> machines;
+  std::vector<sim::Machine*> machine_ptrs;
+  for (size_t s = 0; s < shards; ++s) {
+    machines.push_back(
+        std::make_unique<sim::Machine>(scenario.pipeline.machine));
+    scenario.drifted.InitMemory(machines.back()->memory());
+    machine_ptrs.push_back(machines.back().get());
+  }
+  adapt::ServerGroup group(&scenario.drifted.program(), scenario.stale,
+                           machine_ptrs, spec.group);
+  group.SetObservability(trace, metrics);
+
+  std::vector<std::unique_ptr<ShardFrontEnd>> fronts;
+  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
+  std::vector<std::unique_ptr<obs::SpanCollector>> collectors;
+  std::vector<std::unique_ptr<obs::SloEvaluator>> slos;
+  std::vector<std::unique_ptr<obs::ExemplarReservoir>> reservoirs;
+  std::vector<std::unique_ptr<obs::SloEvaluator>> tenant_slos;
+  for (size_t s = 0; s < shards; ++s) {
+    FrontEndConfig fe = spec.front_end;
+    fe.arrival.seed += s;
+    fe.id_seed = fe.arrival.seed;
+    fronts.push_back(std::make_unique<ShardFrontEnd>(
+        fe,
+        [&scenario](uint64_t id) {
+          return scenario.drifted.SetupFor(static_cast<int>(id));
+        },
+        trace, metrics, obs::Labels{{"shard", std::to_string(s)}}));
+    ShardFrontEnd& front = *fronts.back();
+    front.SetTenantHandler(0, [&scenario](uint64_t id) {
+      return scenario.twin.SetupFor(static_cast<int>(id));
+    });
+    obs::SloConfig budget;
+    budget.latency_budget_cycles = spec.front_end.tenants[0].p99_budget_cycles;
+    tenant_slos.push_back(std::make_unique<obs::SloEvaluator>(budget));
+    front.SetTenantSloEvaluator(0, tenant_slos.back().get());
+    group.SetRequestSource(s, &front);
+    group.SetScavengerFactory(s, front.MakeScavengerFactory());
+
+    profilers.push_back(std::make_unique<obs::CycleProfiler>(*spec.profiler));
+    group.SetProfiler(s, profilers.back().get());
+    collectors.push_back(std::make_unique<obs::SpanCollector>(*spec.spans));
+    collectors.back()->SetTrace(trace);
+    front.SetSpanCollector(collectors.back().get());
+    group.SetSpanCollector(s, collectors.back().get());
+    slos.push_back(std::make_unique<obs::SloEvaluator>(*spec.slo));
+    slos.back()->SetTrace(trace, static_cast<int32_t>(s));
+    front.SetSloEvaluator(slos.back().get());
+    group.SetSloEvaluator(s, slos.back().get());
+    reservoirs.push_back(
+        std::make_unique<obs::ExemplarReservoir>(*spec.exemplars));
+    collectors.back()->SetExemplars(reservoirs.back().get());
+    group.SetExemplar(s, reservoirs.back().get());
+  }
+  auto report = group.Run();
+  EXPECT_TRUE(report.ok()) << report.status();
+  std::vector<ShardOutcome> out;
+  for (size_t s = 0; s < shards; ++s) {
+    out.push_back(Capture(fronts[s]->report(), *profilers[s], *collectors[s],
+                          *reservoirs[s], *slos[s], machines[s]->now()));
+  }
+  return out;
+}
+
+TEST(DeploymentTest, EqualsTheSameScenarioWiredByHand) {
+  const DeploymentScenario scenario = MakeDeploymentScenario();
+  const DeploymentSpec base = FullSpec(scenario);
+
+  obs::TraceRecorder ref_trace(SpanTraceConfig());
+  obs::MetricsRegistry ref_metrics;
+  const std::vector<ShardOutcome> reference =
+      RunHandWired(scenario, base, &ref_trace, &ref_metrics);
+
+  obs::TraceRecorder trace(SpanTraceConfig());
+  obs::MetricsRegistry metrics;
+  DeploymentSpec spec = base;
+  spec.trace = &trace;
+  spec.metrics = &metrics;
+  auto deployment = Deployment::Build(scenario.drifted, scenario.stale, spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status();
+  auto report = deployment->Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  // The scenario exercises the control plane the observers are wired into.
+  EXPECT_GE(report->canaries, 1);
+
+  ASSERT_EQ(deployment->shards(), reference.size());
+  for (size_t s = 0; s < reference.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const ShardOutcome got = Capture(
+        deployment->front_end(s).report(), *deployment->profiler(s),
+        *deployment->spans(s), *deployment->exemplars(s),
+        *deployment->slo(s), deployment->machine(s).now());
+    const ShardOutcome& want = reference[s];
+    const FrontEndCounters& a = got.front.counters;
+    const FrontEndCounters& b = want.front.counters;
+    EXPECT_EQ(a.offered, b.offered);
+    EXPECT_EQ(a.admitted, b.admitted);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.completed_primary, b.completed_primary);
+    EXPECT_EQ(a.completed_scavenger, b.completed_scavenger);
+    EXPECT_EQ(a.requeued, b.requeued);
+    EXPECT_EQ(a.in_flight, b.in_flight);
+    EXPECT_GT(a.completed, 0u);
+    EXPECT_EQ(got.front.latency.P50(), want.front.latency.P50());
+    EXPECT_EQ(got.front.latency.P99(), want.front.latency.P99());
+    EXPECT_EQ(got.span_classes, want.span_classes);
+    EXPECT_EQ(got.cycle_classes, want.cycle_classes);
+    EXPECT_FALSE(got.exemplars.empty());
+    EXPECT_EQ(got.exemplars, want.exemplars);
+    EXPECT_EQ(got.slo, want.slo);
+    EXPECT_EQ(got.end_cycle, want.end_cycle);
+    EXPECT_TRUE(deployment->spans(s)->VerifyExactness().ok());
+    EXPECT_TRUE(deployment->exemplars(s)->VerifyExactness().ok());
+  }
+  // Same metric series (shard labels included) and the same event stream.
+  EXPECT_EQ(metrics.ToJson(), ref_metrics.ToJson());
+  EXPECT_EQ(trace.recorded(), ref_trace.recorded());
+}
+
+// Each precondition Deployment::Build checks, broken one at a time on an
+// otherwise valid spec: the build fails with its named InvalidArgument before
+// any part is built.
+struct PreconditionCase {
+  const char* name;
+  std::function<void(DeploymentSpec&)> breaks;
+  const char* message;
+};
+
+void PrintTo(const PreconditionCase& c, std::ostream* os) { *os << c.name; }
+
+class DeploymentPreconditionTest
+    : public ::testing::TestWithParam<PreconditionCase> {};
+
+TEST_P(DeploymentPreconditionTest, FailsWithNamedInvalidArgument) {
+  const workloads::PhasedChase chase = SmallChase();
+  DeploymentSpec spec;
+  spec.group.shards = 2;
+  spec.front_end = LoopConfig(0.05, 500'000, 8, /*scavenge=*/true);
+  spec.spans.emplace();
+  spec.slo.emplace();
+  spec.exemplars.emplace();
+  ASSERT_TRUE(Deployment::Build(chase, core::PipelineArtifacts{}, spec).ok());
+
+  GetParam().breaks(spec);
+  auto deployment = Deployment::Build(chase, core::PipelineArtifacts{}, spec);
+  ASSERT_FALSE(deployment.ok());
+  EXPECT_EQ(deployment.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deployment.status().message().find(GetParam().message),
+            std::string::npos)
+      << deployment.status();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EachCheck, DeploymentPreconditionTest,
+    ::testing::Values(
+        PreconditionCase{"group_config",
+                         [](DeploymentSpec& s) { s.group.shards = 0; },
+                         "shards must be at least 1"},
+        PreconditionCase{"front_end_config",
+                         [](DeploymentSpec& s) {
+                           s.front_end.queue_capacity = 0;
+                         },
+                         "queue capacity must be positive"},
+        PreconditionCase{"id_seed_set",
+                         [](DeploymentSpec& s) { s.front_end.id_seed = 9; },
+                         "id_seed is derived per shard"},
+        PreconditionCase{"slo_config",
+                         [](DeploymentSpec& s) { s.slo->objective = 1.5; },
+                         "objective must be in (0, 1)"},
+        PreconditionCase{"exemplar_config",
+                         [](DeploymentSpec& s) { s.exemplars->top_k = 0; },
+                         "top_k must be positive"},
+        PreconditionCase{"exemplars_without_spans",
+                         [](DeploymentSpec& s) { s.spans.reset(); },
+                         "exemplars need spans"}),
+    [](const ::testing::TestParamInfo<PreconditionCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------- profiler epoch slices, unit level -------------------------------
 

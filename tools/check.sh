@@ -2,7 +2,8 @@
 # Tier-1 verification in both plain and sanitized configurations:
 #   tools/check.sh            # build + ctest, plain then ASan+UBSan
 #   tools/check.sh --fast     # plain config only
-# The sanitized config skips the `golden` bench reruns (ctest -LE golden).
+# The sanitized config skips the `golden` bench and CLI output reruns
+# (ctest -LE golden).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

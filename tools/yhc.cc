@@ -725,7 +725,8 @@ int CmdAdapt(Options& options) {
   const int n = static_cast<int>(tasks);
   auto run = ServeClosedLoop(*scenario, config, n);
   if (!run.ok()) {
-    std::fprintf(stderr, "adaptive run failed: %s\n", run.status().ToString().c_str());
+    std::fprintf(stderr, "adaptive run failed: %s\n",
+                 run.status().ToString().c_str());
     return 1;
   }
   const adapt::AdaptReport& report = run->report.shards[0];
@@ -807,7 +808,8 @@ int CmdServeOpenLoop(Options& options) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  spec.group = ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
+  spec.group =
+      ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
   spec.group.guard.enabled = guard_on != 0;
   spec.group.guard.confirmation_window = static_cast<int>(guard_window);
   spec.group.guard.regression_ratio = guard_ratio;
@@ -943,7 +945,8 @@ int CmdServe(Options& options) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 2;
   }
-  const auto faults = ApplyServingFaults(fault_list, *scenario, "serve", &config);
+  const auto faults =
+      ApplyServingFaults(fault_list, *scenario, "serve", &config);
   if (!faults.has_value()) {
     return 2;
   }
@@ -1194,7 +1197,8 @@ int RunObservedServe(Options& options, const char* command,
   out->cycles_per_ns = scenario->pipeline.machine.cycles_per_ns;
 
   serve::DeploymentSpec spec;
-  spec.group = ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
+  spec.group =
+      ScenarioGroup(*scenario, shards, epoch, adapt_on != 0, threshold);
   if (guard_on != 0) {
     spec.group.guard.enabled = true;
     spec.group.guard.confirmation_window = 2;
