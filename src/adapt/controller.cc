@@ -5,6 +5,19 @@
 namespace yieldhide::adapt {
 
 namespace {
+// Weight kept on the reference profile when merging in online evidence (the
+// rest of the merged profile's mass comes from the online side). Retaining
+// some reference keeps still-live sites instrumented even while the PMU no
+// longer sees their misses (they are being hidden).
+constexpr double kReferenceRetain = 0.35;
+// Ceiling of the recommended scavenger-pool cap.
+constexpr size_t kMaxScavengers = 16;
+// Grow the cap when more than this fraction of bursts starved (ran out of
+// runnable scavengers before the hide window was consumed).
+constexpr double kGrowStarvedFraction = 0.05;
+// Shrink it when bursts filled less than this fraction of the window.
+constexpr double kShrinkOccupancy = 0.35;
+
 double TotalExecutions(const profile::LoadProfile& loads) {
   double total = 0.0;
   for (const auto& [ip, site] : loads.sites()) {
@@ -20,7 +33,7 @@ AdaptController::AdaptController(const isa::Program* original,
     : original_(original),
       config_(config),
       // No swap has happened, so the cool-down must not block the first one.
-      epochs_since_swap_(config.min_epochs_between_swaps) {
+      epochs_since_swap_(kMinEpochsBetweenSwaps) {
   PushGeneration(std::move(initial), /*built_epoch=*/0);
 }
 
@@ -75,11 +88,11 @@ AdaptController::Decision AdaptController::Observe(
   Decision decision;
   decision.score =
       ComputeDriftScore(reference_loads(), online.loads(), site_index(),
-                        site_stats, config_.drift);
+                        site_stats);
   ++epochs_since_swap_;
   decision.should_swap =
       decision.score.score >= config_.drift_threshold &&
-      epochs_since_swap_ > config_.min_epochs_between_swaps;
+      epochs_since_swap_ > kMinEpochsBetweenSwaps;
   return decision;
 }
 
@@ -115,19 +128,19 @@ Result<AdaptController::SwapPlan> AdaptController::RebuildFromLoads(
     const std::map<isa::Addr, runtime::YieldSiteStats>& old_site_stats,
     const std::map<isa::Addr, isa::Addr>& old_site_index,
     size_t built_epoch) {
-  // Merge: keep `reference_retain` of the reference's mass and scale the
+  // Merge: keep kReferenceRetain of the reference's mass and scale the
   // online evidence to supply the rest, so site selection is driven by what
   // production looks like NOW while still-instrumented live sites (whose
   // misses the PMU no longer sees, because they are hidden) keep enough
   // evidence to stay instrumented.
   profile::ProfileData merged;
   merged.loads = reference_loads();
-  merged.loads.Decay(config_.reference_retain);
+  merged.loads.Decay(kReferenceRetain);
   const double reference_mass = TotalExecutions(reference_loads());
   const double online_mass = TotalExecutions(online_loads);
   profile::LoadProfile online_scaled = online_loads;
   if (online_mass > 0.0 && reference_mass > 0.0) {
-    online_scaled.Decay((1.0 - config_.reference_retain) * reference_mass /
+    online_scaled.Decay((1.0 - kReferenceRetain) * reference_mass /
                         online_mass);
   }
   merged.loads.Merge(online_scaled);
@@ -157,8 +170,7 @@ Result<AdaptController::SwapPlan> AdaptController::RebuildFromLoads(
 size_t AdaptController::RecommendPoolCap(const BurstDeltas& deltas,
                                          uint32_t hide_window_cycles,
                                          size_t current_cap) const {
-  size_t cap = std::clamp(current_cap, config_.min_scavengers,
-                          config_.max_scavengers);
+  size_t cap = std::clamp(current_cap, kMinScavengers, kMaxScavengers);
   if (deltas.bursts == 0 || hide_window_cycles == 0) {
     return cap;
   }
@@ -167,14 +179,13 @@ size_t AdaptController::RecommendPoolCap(const BurstDeltas& deltas,
   const double occupancy =
       static_cast<double>(deltas.burst_busy_cycles) /
       (static_cast<double>(deltas.bursts) * hide_window_cycles);
-  if (starved > config_.grow_starved_fraction) {
+  if (starved > kGrowStarvedFraction) {
     // Starved bursts leave primary stalls exposed; add headroom fast.
-    cap = std::min(config_.max_scavengers, cap + 1 + cap / 2);
-  } else if (occupancy < config_.shrink_occupancy &&
-             cap > config_.min_scavengers) {
+    cap = std::min(kMaxScavengers, cap + 1 + cap / 2);
+  } else if (occupancy < kShrinkOccupancy && cap > kMinScavengers) {
     // Bursts end early by choice (CYIELD handbacks), not supply: idle
     // capacity costs memory and cache pressure, so drain it slowly.
-    cap = std::max(config_.min_scavengers, cap - 1);
+    cap = std::max(kMinScavengers, cap - 1);
   }
   return cap;
 }

@@ -25,21 +25,9 @@
 
 namespace yieldhide::adapt {
 
-struct DriftScoreConfig {
-  // Appearance: a site counts as "new and hot" when its online L2-miss
-  // probability and share of online stall evidence both clear these bars.
-  double hot_miss_probability = 0.3;
-  double hot_stall_share = 0.05;
-  // Ignore appearance entirely while the online profile has fewer estimated
-  // stall cycles than this — adapting to noise is worse than waiting.
-  double min_total_stall_cycles = 1000.0;
-  // Divergence: only sites visited this often have a trustworthy useful
-  // fraction.
-  uint64_t min_site_visits = 8;
-  // Signal weights.
-  double appearance_weight = 0.6;
-  double divergence_weight = 0.4;
-};
+// Signal weights of the combined score.
+inline constexpr double kAppearanceWeight = 0.6;
+inline constexpr double kDivergenceWeight = 0.4;
 
 struct DriftScore {
   double appearance = 0.0;   // stall share on hot uninstrumented sites
@@ -59,8 +47,7 @@ struct DriftScore {
 DriftScore ComputeDriftScore(
     const profile::LoadProfile& reference, const profile::LoadProfile& online,
     const std::map<isa::Addr, isa::Addr>& instrumented_sites,
-    const std::map<isa::Addr, runtime::YieldSiteStats>& site_stats,
-    const DriftScoreConfig& config);
+    const std::map<isa::Addr, runtime::YieldSiteStats>& site_stats);
 
 }  // namespace yieldhide::adapt
 

@@ -46,31 +46,12 @@ struct GuardConfig {
   // Deployments where hiding is priced differently tune this per workload
   // (`yhc serve --guard-ratio`).
   double regression_ratio = 1.30;
-  // ... or when its p99 hidden latency exceeds this multiple of its peers'
-  // (only judged when cycle profilers are attached to both sides).
-  double p99_ratio = 1.25;
-  // Rebuild retry-with-backoff: first retry waits this many epochs, doubling
-  // per consecutive failure up to max_backoff_epochs.
-  int retry_backoff_epochs = 2;
-  int max_backoff_epochs = 16;
-  // After this many consecutive failures on the SAME evidence fingerprint
-  // the fingerprint is poisoned: no more attempts until the evidence changes.
-  int max_rebuild_retries = 4;
-  // Epoch watchdog: a shard whose epoch runs longer than this multiple of
-  // the group median is considered stalled and sheds its swap-queue slot.
-  // 0 disables the watchdog.
-  double watchdog_factor = 4.0;
   // Consult the canary shard's SLO burn-rate evaluator (obs::SloEvaluator,
   // installed via ServerGroup::SetSloEvaluator) as an extra rollback signal:
   // a canary whose cycles/op looks healthy is still rolled back when the
   // shard's multi-window burn alert is ACTIVE at verdict time — the
   // generation may be fast per op yet wrecking tail latency.
   bool consult_slo = false;
-  // How long a rolled-back generation's evidence fingerprint blocks rebuilds.
-  // The lineage's quarantine record is permanent; the rebuild BLOCK expires
-  // so a transient environmental regression (a stalled canary shard, a
-  // cleared fault) cannot lock a static workload out of adaptation forever.
-  int poison_ttl_epochs = 16;
 
   Status Validate() const;
 };

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/adapt/online_profile.h"
 #include "src/common/strings.h"
 #include "src/profile/profile_io.h"
 
@@ -13,6 +14,11 @@ namespace {
 
 constexpr char kHeaderMagic[] = "yhstore v";
 constexpr char kFooterMagic[] = "yhstore-end crc=";
+
+// The merged view decays once per GROUP epoch by the shards' own online
+// profile settings, so an N=1 group's store tracks the shard's local profile
+// exactly.
+constexpr OnlineProfileConfig kStoreDecay;
 
 // Consumes "<prefix><decimal>" from the front of `rest`; false on mismatch.
 bool ConsumeUint(std::string_view& rest, std::string_view prefix,
@@ -163,12 +169,12 @@ Result<profile::ProfileData> LoadStoreFile(const std::string& path) {
 
 void SharedProfileStore::BeginEpoch() {
   ++epochs_;
-  loads_.Decay(config_.decay, config_.min_site_executions);
+  loads_.Decay(kStoreDecay.decay, kStoreDecay.min_site_executions);
   // Tenant drift forgets at the evidence's rate; quarantine TTLs tick down
   // once per GROUP epoch and expire by erasure (a re-offending tenant gets a
   // fresh quarantine from the group's policy, not a lingering one).
   for (auto& [name, drift] : tenant_drift_) {
-    drift *= config_.decay;
+    drift *= kStoreDecay.decay;
   }
   for (auto it = tenant_quarantine_.begin(); it != tenant_quarantine_.end();) {
     if (it->second <= 1) {

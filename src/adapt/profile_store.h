@@ -55,20 +55,8 @@ Result<profile::ProfileData> ParseStoreFile(std::string_view bytes);
 Status SaveStoreFile(const profile::ProfileData& data, const std::string& path);
 Result<profile::ProfileData> LoadStoreFile(const std::string& path);
 
-struct SharedProfileStoreConfig {
-  // Multiplier applied to the merged view once per GROUP epoch (matches
-  // OnlineProfileConfig so an N=1 group's store tracks the shard's local
-  // profile exactly).
-  double decay = 0.6;
-  // Sites whose decayed execution estimate drops below this are forgotten.
-  double min_site_executions = 0.5;
-};
-
 class SharedProfileStore {
  public:
-  explicit SharedProfileStore(const SharedProfileStoreConfig& config)
-      : config_(config) {}
-
   // Starts a group epoch: decays all accumulated evidence once. Called once
   // per epoch by the group, not per shard — N shards contribute into one
   // decay step.
@@ -100,7 +88,7 @@ class SharedProfileStore {
   // Tenant-scoped quarantine: while a tenant is quarantined its epoch
   // evidence is EXCLUDED from Contribute() by the group, its drift cannot
   // grow the group's swap appetite, and the TTL expires in BeginEpoch (group
-  // epochs, matching GuardConfig::poison_ttl_epochs semantics).
+  // epochs, matching the guard's fingerprint-poison TTL semantics).
   void QuarantineTenant(const std::string& tenant, uint64_t ttl_epochs);
   bool TenantQuarantined(const std::string& tenant) const;
   // Names with an active quarantine (stable map order), for reporting.
@@ -127,7 +115,6 @@ class SharedProfileStore {
   Status WarmStartFrom(const std::string& path);
 
  private:
-  SharedProfileStoreConfig config_;
   profile::LoadProfile loads_;
   uint64_t epochs_ = 0;
   uint64_t contributions_ = 0;

@@ -37,13 +37,13 @@ namespace yieldhide::adapt {
 
 // Decides which shard (if any) swaps this group epoch. Mirrors the
 // single-server cool-down semantics exactly — per shard, a swap is eligible
-// only when strictly more than `min_epochs_between_swaps` boundaries have
-// passed since that shard's last install — and adds the group-level stagger:
+// only when strictly more than kMinEpochsBetweenSwaps boundaries have passed
+// since that shard's last install — and adds the group-level stagger:
 // eligible shards queue FIFO and at most one dequeues per epoch, so no two
 // shards ever rebuild or install in the same epoch.
 class StaggerPolicy {
  public:
-  StaggerPolicy(size_t shard_count, int min_epochs_between_swaps);
+  explicit StaggerPolicy(size_t shard_count);
 
   // Advances every shard's cool-down clock and re-arms the one-per-epoch slot.
   void BeginEpoch();
@@ -63,7 +63,6 @@ class StaggerPolicy {
   size_t pending() const { return queue_.size(); }
 
  private:
-  int min_gap_;
   std::vector<int> since_swap_;
   std::vector<bool> queued_;
   std::deque<size_t> queue_;
@@ -75,11 +74,6 @@ struct ServerGroupConfig {
   // Per-shard serving configuration, embedded whole — the group adds no
   // duplicate copies of epoch length, drift thresholds, or sampling knobs.
   AdaptiveServerConfig shard;
-  SharedProfileStoreConfig store;
-  // A generation newer than a swapping shard's is reused (no rebuild) if it
-  // was built at most this many group epochs ago; older ones are considered
-  // stale and the shard rebuilds from the current store instead.
-  int generation_reuse_epochs = 8;
   // Non-empty: serialize the merged store here at shutdown, and (with
   // warm_start) seed this run from the previous one's file if present.
   std::string profile_path;
@@ -99,8 +93,6 @@ struct ServerGroupConfig {
   // group-wide swap. The guard additionally vetoes promoting a canary that
   // pushed a foreground tenant with a declared budget over it.
   double tenant_drift_threshold = 0.0;
-  // Group epochs a tenant quarantine lasts (mirrors guard.poison_ttl_epochs).
-  int tenant_quarantine_ttl_epochs = 16;
   // Chaos testing only: injected serving-layer faults (benches, `yhc serve
   // --fault`). Empty hooks in production.
   faultinject::ServingFaultHooks fault_hooks;

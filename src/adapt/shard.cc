@@ -6,6 +6,16 @@
 
 namespace yieldhide::adapt {
 
+namespace {
+// Drift-aware sampling's rate-scale bounds: <1 = slower than baseline
+// (quiet), >1 = faster (drifting).
+constexpr double kMinRateScale = 0.5;
+constexpr double kMaxRateScale = 4.0;
+// Consecutive epochs below 5% of the drift threshold before relaxing to
+// kMinRateScale.
+constexpr int kQuietEpochs = 2;
+}  // namespace
+
 profile::CollectorConfig LowOverheadSamplingConfig() {
   profile::CollectorConfig config;
   config.l2_miss_period = 127;
@@ -21,44 +31,14 @@ Status AdaptiveServerConfig::Validate() const {
   if (tasks_per_epoch < 1) {
     return InvalidArgumentError("tasks_per_epoch must be at least 1");
   }
-  if (!(online.decay > 0.0) || online.decay > 1.0) {
-    return InvalidArgumentError("online.decay must be in (0, 1]");
-  }
   if (controller.drift_threshold < 0.0) {
     return InvalidArgumentError("controller.drift_threshold must be >= 0");
-  }
-  if (controller.min_epochs_between_swaps < 0) {
-    return InvalidArgumentError(
-        "controller.min_epochs_between_swaps must be >= 0");
-  }
-  if (controller.reference_retain < 0.0 || controller.reference_retain > 1.0) {
-    return InvalidArgumentError(
-        "controller.reference_retain must be in [0, 1]");
-  }
-  if (controller.min_scavengers < 1) {
-    return InvalidArgumentError("controller.min_scavengers must be >= 1");
-  }
-  if (controller.max_scavengers < controller.min_scavengers) {
-    return InvalidArgumentError(
-        "controller.max_scavengers must be >= controller.min_scavengers");
   }
   if (dual.max_scavengers < 1) {
     return InvalidArgumentError("dual.max_scavengers must be >= 1");
   }
   if (dual.hide_window_cycles == 0) {
     return InvalidArgumentError("dual.hide_window_cycles must be > 0");
-  }
-  if (drift_aware_sampling) {
-    if (!(sampling_min_rate_scale > 0.0)) {
-      return InvalidArgumentError("sampling_min_rate_scale must be > 0");
-    }
-    if (sampling_max_rate_scale < sampling_min_rate_scale) {
-      return InvalidArgumentError(
-          "sampling_max_rate_scale must be >= sampling_min_rate_scale");
-    }
-    if (sampling_quiet_epochs < 0) {
-      return InvalidArgumentError("sampling_quiet_epochs must be >= 0");
-    }
   }
   return Status::Ok();
 }
@@ -88,16 +68,15 @@ Shard::Shard(size_t id, sim::Machine* machine,
       dual_(config.dual),
       generation_(generation),
       shared_binary_(scavenger_binary == nullptr),
-      online_(config.online),
+      online_(OnlineProfileConfig{}),
       trace_(trace),
       metrics_(metrics),
       labels_(std::move(labels)) {
   if (config_.scale_pool) {
     // The feedback loop owns the pool size: start minimal and let starvation
-    // evidence grow it (the static initial/max knobs stay untouched for
-    // non-adaptive callers).
-    dual_.initial_scavengers = config_.controller.min_scavengers;
-    dual_.max_scavengers = config_.controller.min_scavengers + 1;
+    // evidence grow it (dual.max_scavengers stays untouched for non-adaptive
+    // callers).
+    dual_.max_scavengers = kMinScavengers + 1;
   }
   scheduler_ = std::make_unique<runtime::DualModeScheduler>(
       &generation_->binary(),
@@ -133,7 +112,7 @@ Shard::~Shard() {
 // Sampling periods divided by the current rate scale (1.0 until drift-aware
 // sampling moves it): >1 samples harder, <1 relaxes below baseline.
 profile::CollectorConfig Shard::ScaledSampling(double rate_scale) const {
-  profile::CollectorConfig scaled = config_.sampling;
+  profile::CollectorConfig scaled = LowOverheadSamplingConfig();
   auto scale_period = [&](uint64_t period) -> uint64_t {
     if (period == 0 || rate_scale <= 0.0) {
       return period;  // disabled events stay disabled
@@ -206,7 +185,7 @@ void Shard::OpenBoundary(bool adapting, profile::LoadProfile* epoch_evidence) {
   // the controller's newest between staggered swaps.
   const DriftScore score = ComputeDriftScore(
       generation_->reference_loads, online_.loads(), generation_->site_index,
-      progress.site_stats, config_.controller.drift);
+      progress.site_stats);
   epoch_.drift = score.score;
   epoch_.drift_appearance = score.appearance;
   epoch_.drift_divergence = score.divergence;
@@ -229,7 +208,7 @@ void Shard::FoldTenantSamples(const std::vector<pmu::PebsSample>& samples) {
     return;  // tenant-blind (or single-tenant) source: nothing to attribute
   }
   while (tenant_online_.size() < snapshots.size()) {
-    tenant_online_.emplace_back(config_.online);
+    tenant_online_.emplace_back(OnlineProfileConfig{});
   }
   // Partition the epoch's samples by which tenant's request held the primary
   // slot when each fired. Scavenger-context samples land wherever the
@@ -258,11 +237,11 @@ void Shard::FoldTenantSamples(const std::vector<pmu::PebsSample>& samples) {
     // tenants' requests and cannot be attributed to one of them.
     evidence.score = ComputeDriftScore(
         generation_->reference_loads, tenant_online_[i].loads(),
-        generation_->site_index, kNoSiteStats, config_.controller.drift);
+        generation_->site_index, kNoSiteStats);
     tenant_epoch_.push_back(std::move(evidence));
   }
   // The tenant-less remainder still feeds the store under quarantine.
-  OnlineProfile scratch(config_.online);
+  OnlineProfile scratch(OnlineProfileConfig{});
   scratch.ObserveSamples(unattributed, periods_, generation_->backmap,
                          &unattributed_epoch_);
 }
@@ -381,14 +360,14 @@ void Shard::FinishEpochBoundary(bool adapting,
       quiet_epochs_ = 0;
     } else if (epoch_.drift >= threshold) {
       quiet_epochs_ = 0;
-      next_scale = config_.sampling_max_rate_scale;
+      next_scale = kMaxRateScale;
     } else if (epoch_.drift >= 0.5 * threshold) {
       quiet_epochs_ = 0;
-      next_scale = 0.5 * config_.sampling_max_rate_scale;
+      next_scale = 0.5 * kMaxRateScale;
     } else if (epoch_.drift < 0.05 * threshold) {
       ++quiet_epochs_;
-      if (quiet_epochs_ >= config_.sampling_quiet_epochs) {
-        next_scale = config_.sampling_min_rate_scale;
+      if (quiet_epochs_ >= kQuietEpochs) {
+        next_scale = kMinRateScale;
       }
     } else {
       quiet_epochs_ = 0;

@@ -48,8 +48,6 @@ profile::CollectorConfig LowOverheadSamplingConfig();
 
 struct AdaptiveServerConfig {
   AdaptControllerConfig controller;
-  OnlineProfileConfig online;
-  profile::CollectorConfig sampling = LowOverheadSamplingConfig();
   runtime::DualModeConfig dual;
   // Epoch length; boundaries are the only points where swaps can happen.
   int tasks_per_epoch = 8;
@@ -62,19 +60,14 @@ struct AdaptiveServerConfig {
   // Drift-aware sampling: scale the sampling RATE with measured drift —
   // sample harder while the workload is moving (fresher evidence, faster
   // reaction), relax below the baseline after consecutive quiet epochs to
-  // shave steady-state overhead. Periods are the configured periods divided
-  // by the epoch's rate scale, which steps through {min_rate_scale, 1,
-  // max_rate_scale/2, max_rate_scale} as drift crosses fractions of the swap
-  // threshold, and resets to 1 after a swap (the reference is fresh, so old
-  // drift evidence is stale). Off by default: the fixed-period configuration
-  // is the control the A1 gates were calibrated against.
+  // shave steady-state overhead. Periods are LowOverheadSamplingConfig()'s
+  // periods divided by the epoch's rate scale, which steps through
+  // {kMinRateScale, 1, kMaxRateScale/2, kMaxRateScale} (shard.cc) as drift
+  // crosses fractions of the swap threshold, and resets to 1 after a swap
+  // (the reference is fresh, so old drift evidence is stale).
+  // Off by default: the fixed-period configuration is the control the A1
+  // gates were calibrated against.
   bool drift_aware_sampling = false;
-  // Rate-scale bounds: <1 = slower than baseline (quiet), >1 = faster (drifting).
-  double sampling_min_rate_scale = 0.5;
-  double sampling_max_rate_scale = 4.0;
-  // Consecutive epochs below 5% of the drift threshold before relaxing to
-  // sampling_min_rate_scale.
-  int sampling_quiet_epochs = 2;
 
   // Named-field validation shared by the CLI, the benches, and
   // ServerGroupConfig::Validate().

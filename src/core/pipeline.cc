@@ -64,35 +64,27 @@ Status InstrumentWithProfile(const isa::Program& original, const PipelineConfig&
                                                  config.primary));
   artifacts.primary_report = std::move(primary.report);
 
-  if (!config.run_scavenger_pass) {
-    artifacts.binary = std::move(primary.instrumented);
-  } else {
-    // Carry the block profile (collected on the original binary) across the
-    // primary rewrite so the scavenger pass sees current addresses.
-    const instrument::AddrMap& map = primary.instrumented.addr_map;
-    const profile::BlockLatencyProfile translated = artifacts.profile.blocks.Translated(
-        [&map](isa::Addr addr) {
-          return addr < map.old_size() ? map.Translate(addr) : addr;
-        });
-    YH_ASSIGN_OR_RETURN(
-        instrument::ScavengerResult scavenger,
-        instrument::RunScavengerPass(primary.instrumented,
-                                     config.scavenger.use_block_profile ? &translated
-                                                                        : nullptr,
-                                     config.scavenger));
-    artifacts.scavenger_report = std::move(scavenger.report);
-    artifacts.binary = std::move(scavenger.instrumented);
-  }
+  // Carry the block profile (collected on the original binary) across the
+  // primary rewrite so the scavenger pass sees current addresses.
+  const instrument::AddrMap& map = primary.instrumented.addr_map;
+  const profile::BlockLatencyProfile translated = artifacts.profile.blocks.Translated(
+      [&map](isa::Addr addr) {
+        return addr < map.old_size() ? map.Translate(addr) : addr;
+      });
+  YH_ASSIGN_OR_RETURN(
+      instrument::ScavengerResult scavenger,
+      instrument::RunScavengerPass(primary.instrumented, &translated,
+                                   config.scavenger));
+  artifacts.scavenger_report = std::move(scavenger.report);
+  artifacts.binary = std::move(scavenger.instrumented);
 
-  if (config.verify) {
-    instrument::VerifyOptions options;
-    options.machine_cost = config.machine.cost;
-    // The scavenger report carries the achieved interval bound; experiments
-    // that need a hard bound assert it explicitly. Structure is always
-    // enforced here.
-    YH_RETURN_IF_ERROR(
-        instrument::VerifyInstrumentation(original, artifacts.binary, options));
-  }
+  instrument::VerifyOptions options;
+  options.machine_cost = config.machine.cost;
+  // The scavenger report carries the achieved interval bound; experiments
+  // that need a hard bound assert it explicitly. Structure is always
+  // enforced here.
+  YH_RETURN_IF_ERROR(
+      instrument::VerifyInstrumentation(original, artifacts.binary, options));
   PublishBuildMetrics(config, artifacts);
   return Status::Ok();
 }
@@ -157,7 +149,7 @@ Result<PipelineArtifacts> BuildInstrumentedForWorkload(
     YH_ASSIGN_OR_RETURN(
         profile::CollectResult collected,
         profile::CollectProfile(workload.program(), machine,
-                                workload.SetupFor(config.profile_first_task + task),
+                                workload.SetupFor(task),
                                 config.collector));
     artifacts.profile.loads.Merge(collected.profile.loads);
     artifacts.profile.blocks.Merge(collected.profile.blocks);

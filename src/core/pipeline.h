@@ -47,14 +47,12 @@ struct PipelineConfig {
   profile::CollectorConfig collector;
   instrument::PrimaryConfig primary;
   instrument::ScavengerConfig scavenger;
-  bool run_scavenger_pass = true;
-  bool verify = true;
   // How many workload tasks to run (and merge) during profiling, starting at
-  // task index `profile_first_task`. Experiments that model a workload whose
-  // behaviour shifts over time (src/adapt, bench A1) profile a later slice to
-  // build a "fresh" reference profile for the post-shift distribution.
+  // task 0.
   int profile_tasks = 4;
-  int profile_first_task = 0;
+  // Not a knob: profiling always starts at task 0. The name stays because
+  // yhbench's pipeline probe mirrors the profiling loop with it.
+  static constexpr int profile_first_task = 0;
   // Optional: every build publishes its artifact telemetry (drop counters,
   // insertion counts, profiling overhead) here, so repeated builds — the
   // online adaptation loop re-instrumenting — leave a metric trail. Must

@@ -119,19 +119,14 @@ Result<DriftResult> DriftProgram(const isa::Program& program,
   const double sev = std::clamp(config.severity, 0.0, 1.0);
   if (sev > 0) {
     Rng rng(config.seed);
-    if (config.insert_instructions) {
-      const size_t inserts = std::max<size_t>(
-          1, static_cast<size_t>(sev * static_cast<double>(program.size()) * 0.10));
-      YH_RETURN_IF_ERROR(InsertFiller(result.program, rng, inserts, result.report));
-    }
-    if (config.reorder_blocks) {
-      YH_ASSIGN_OR_RETURN(const analysis::ControlFlowGraph cfg,
-                          analysis::ControlFlowGraph::Build(result.program));
-      const size_t moves = std::max<size_t>(
-          1,
-          static_cast<size_t>(sev * static_cast<double>(cfg.block_count()) * 0.25));
-      YH_RETURN_IF_ERROR(ReorderBlocks(result.program, rng, moves, result.report));
-    }
+    const size_t inserts = std::max<size_t>(
+        1, static_cast<size_t>(sev * static_cast<double>(program.size()) * 0.10));
+    YH_RETURN_IF_ERROR(InsertFiller(result.program, rng, inserts, result.report));
+    YH_ASSIGN_OR_RETURN(const analysis::ControlFlowGraph cfg,
+                        analysis::ControlFlowGraph::Build(result.program));
+    const size_t moves = std::max<size_t>(
+        1, static_cast<size_t>(sev * static_cast<double>(cfg.block_count()) * 0.25));
+    YH_RETURN_IF_ERROR(ReorderBlocks(result.program, rng, moves, result.report));
   }
 
   result.report.new_size = result.program.size();

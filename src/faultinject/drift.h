@@ -24,8 +24,6 @@ namespace yieldhide::faultinject {
 struct DriftConfig {
   double severity = 0.5;  // in [0,1]: fraction-ish of the image that drifts
   uint64_t seed = 1;
-  bool insert_instructions = true;
-  bool reorder_blocks = true;
 };
 
 struct DriftReport {

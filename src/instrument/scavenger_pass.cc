@@ -13,6 +13,9 @@ namespace yieldhide::instrument {
 
 namespace {
 
+// Safety valve for the planning loop.
+constexpr size_t kMaxPlanningIterations = 64;
+
 // Static cost of one instruction under the "compute time" model: loads priced
 // as L1 hits (a scavenger's own misses suspend it at primary yields).
 uint32_t StaticCost(const isa::Instruction& insn, const sim::CostModel& cost,
@@ -227,7 +230,7 @@ Result<ScavengerResult> RunScavengerPass(const InstrumentedProgram& input,
   std::set<isa::Addr> planned;
 
   // --- phase 1: profile-guided placement on hot straight-line runs ---------
-  if (config.use_block_profile && block_profile != nullptr) {
+  if (block_profile != nullptr) {
     for (const analysis::BasicBlock& block : cfg.blocks()) {
       const uint64_t heat = block_profile->RunCount(block.start);
       if (heat < config.hot_run_min_count) {
@@ -267,7 +270,7 @@ Result<ScavengerResult> RunScavengerPass(const InstrumentedProgram& input,
   }
 
   // --- phase 2: static worst-case bounding ---------------------------------
-  for (size_t iteration = 0; iteration < config.max_planning_iterations; ++iteration) {
+  for (size_t iteration = 0; iteration < kMaxPlanningIterations; ++iteration) {
     in.planned = &planned;
     const std::vector<uint32_t> win = RunIntervalAnalysis(in);
     size_t newly = 0;

@@ -35,13 +35,11 @@ struct ScavengerConfig {
   // Per-instruction static costs (loads priced as L1 hits: scavenger-mode
   // misses suspend at primary yields anyway).
   sim::CostModel machine_cost;
-  // Profile-guided placement before static bounding.
-  bool use_block_profile = true;
+  // Profile-guided placement (before static bounding) only considers
+  // straight-line runs executed at least this often.
   uint64_t hot_run_min_count = 4;
   bool minimize_save_set = true;
   YieldCostModel cost_model;
-  // Safety valve for the planning loop.
-  size_t max_planning_iterations = 64;
 };
 
 struct ScavengerReport {

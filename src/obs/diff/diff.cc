@@ -140,8 +140,6 @@ Result<EpochSet> ParseEpochSet(const std::string& spec) {
   return set;
 }
 
-DiffEngine::DiffEngine(const DiffConfig& config) : config_(config) {}
-
 void DiffEngine::AddShard(const CycleProfiler* profiler,
                           const SpanCollector* spans) {
   shards_.push_back(ShardInput{profiler, spans});
@@ -180,6 +178,14 @@ Result<size_t> DiffEngine::EpochForCycle(size_t shard, uint64_t cycle) const {
 }
 
 namespace {
+
+// Ranked regressing sites retained in the report.
+constexpr size_t kMaxSites = 10;
+// Workload-drift floor: the top site's per-epoch delta must exceed this
+// fraction of the baseline window's per-epoch total, or the regression is
+// unattributed (refutable-hypothesis hygiene: a diagnosis needs a culprit
+// that moved the needle).
+constexpr double kDriftMinFraction = 0.005;
 
 // Per-window accumulation: everything summed over the window's epochs and
 // across shards, in doubles (normalized per epoch at the end).
@@ -327,8 +333,8 @@ Result<DiffReport> DiffEngine::Diff(const EpochSet& baseline,
               }
               return a.site < b.site;
             });
-  if (report.sites.size() > config_.max_sites) {
-    report.sites.resize(config_.max_sites);
+  if (report.sites.size() > kMaxSites) {
+    report.sites.resize(kMaxSites);
   }
 
   auto rank_classes = [](const double* base_values, const double* cur_values,
@@ -373,7 +379,7 @@ Result<DiffReport> DiffEngine::Diff(const EpochSet& baseline,
     control = control || IsControlPlaneAction(event.kind);
   }
   const double floor =
-      config_.drift_min_fraction * std::max(base.total, 1.0);
+      kDriftMinFraction * std::max(base.total, 1.0);
   if (control) {
     report.cause = RegressionCause::kControlPlane;
   } else if (!report.sites.empty() &&

@@ -103,16 +103,6 @@ struct ClassDelta {
   double delta_per_epoch = 0.0;
 };
 
-struct DiffConfig {
-  // Ranked regressing sites retained in the report.
-  size_t max_sites = 10;
-  // Workload-drift floor: the top site's per-epoch delta must exceed this
-  // fraction of the baseline window's per-epoch total, or the regression is
-  // unattributed (refutable-hypothesis hygiene: a diagnosis needs a culprit
-  // that moved the needle).
-  double drift_min_fraction = 0.005;
-};
-
 struct DiffReport {
   EpochSet baseline;
   EpochSet current;
@@ -127,8 +117,6 @@ struct DiffReport {
 
 class DiffEngine {
  public:
-  explicit DiffEngine(const DiffConfig& config = {});
-
   // One shard's taxonomies; either pointer may be null (that feed is simply
   // absent from the report). Requires per-site epoch snapshots on the
   // profiler (CycleProfilerConfig::epoch_site_snapshots) for site ranking.
@@ -153,7 +141,6 @@ class DiffEngine {
     const SpanCollector* spans = nullptr;
   };
 
-  DiffConfig config_;
   std::vector<ShardInput> shards_;
   std::vector<ControlEvent> events_;
 };

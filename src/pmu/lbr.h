@@ -21,7 +21,6 @@ struct LbrConfig {
   size_t ring_entries = 32;        // Intel: 32 since Skylake
   uint64_t snapshot_period = 509;  // snapshot the ring every Nth taken branch
   size_t max_snapshots = 1 << 16;
-  bool record_untaken = false;     // real LBR records only taken branches
 };
 
 class LbrRecorder : public sim::EventListener {

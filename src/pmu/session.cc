@@ -2,6 +2,12 @@
 
 namespace yieldhide::pmu {
 
+namespace {
+// Modeled cost of capturing one PEBS sample (microcode assist), used for
+// overhead reporting only — the simulation itself is not slowed.
+constexpr uint64_t kSampleCaptureCycles = 30;
+}  // namespace
+
 SamplingSession::SamplingSession(const SessionConfig& config) : config_(config) {
   for (const PebsConfig& pc : config.pebs) {
     pebs_.push_back(std::make_unique<PebsSampler>(pc));
@@ -82,7 +88,7 @@ uint64_t SamplingSession::OverheadCycles() const {
   for (const auto& sampler : pebs_) {
     samples += sampler->samples_taken();
   }
-  return samples * config_.sample_capture_cycles;
+  return samples * kSampleCaptureCycles;
 }
 
 double SamplingSession::OverheadFraction(uint64_t run_cycles) const {

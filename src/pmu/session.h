@@ -21,9 +21,6 @@ struct SessionConfig {
   std::vector<PebsConfig> pebs;
   LbrConfig lbr;
   bool enable_lbr = true;
-  // Modeled cost of capturing one PEBS sample (microcode assist), used for
-  // overhead reporting only — the simulation itself is not slowed.
-  uint32_t sample_capture_cycles = 30;
 };
 
 class SamplingSession {

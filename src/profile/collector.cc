@@ -24,7 +24,6 @@ pmu::SessionConfig MakeSessionConfig(const CollectorConfig& config) {
   add(pmu::HwEvent::kStallCycles, config.stall_cycles_period);
   add(pmu::HwEvent::kRetiredInstructions, config.retired_period);
   session.enable_lbr = config.enable_lbr;
-  session.lbr.snapshot_period = config.lbr_snapshot_period;
   return session;
 }
 

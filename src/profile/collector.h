@@ -26,9 +26,8 @@ struct CollectorConfig {
   uint32_t max_skid = 0;
   double skid_probability = 0.0;
   size_t buffer_capacity = 1 << 20;
-  // LBR.
+  // LBR (snapshotted at pmu::LbrConfig's default period).
   bool enable_lbr = true;
-  uint64_t lbr_snapshot_period = 509;
   // Run bound.
   uint64_t max_instructions = 200'000'000;
   uint64_t seed = 1;

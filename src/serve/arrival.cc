@@ -4,6 +4,15 @@
 
 namespace yieldhide::serve {
 
+namespace {
+// kBurst shape: rate multipliers per state and mean state dwell cycles. The
+// long-run mean is rate * (q*Tq + b*Tb) / (Tq + Tb) = 1.0 * rate_per_kcycle.
+constexpr double kQuietRateMultiplier = 0.25;
+constexpr double kBurstRateMultiplier = 4.0;
+constexpr uint64_t kMeanQuietCycles = 120'000;
+constexpr uint64_t kMeanBurstCycles = 30'000;
+}  // namespace
+
 Status ArrivalConfig::Validate() const {
   if (!(rate_per_kcycle > 0.0) || !std::isfinite(rate_per_kcycle)) {
     return InvalidArgumentError("arrival rate must be a positive finite "
@@ -11,15 +20,6 @@ Status ArrivalConfig::Validate() const {
   }
   if (horizon_cycles == 0) {
     return InvalidArgumentError("arrival horizon must be positive");
-  }
-  if (kind == Kind::kBurst) {
-    if (!(quiet_rate_multiplier > 0.0) || !(burst_rate_multiplier > 0.0)) {
-      return InvalidArgumentError("burst/quiet rate multipliers must be "
-                                  "positive");
-    }
-    if (mean_quiet_cycles == 0 || mean_burst_cycles == 0) {
-      return InvalidArgumentError("mean state dwell cycles must be positive");
-    }
   }
   return Status::Ok();
 }
@@ -29,7 +29,7 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig& config)
   if (config_.kind == ArrivalConfig::Kind::kBurst) {
     // Start in the quiet state with a fresh dwell draw.
     in_burst_ = false;
-    state_until_ = ExpGap(1.0 / static_cast<double>(config_.mean_quiet_cycles));
+    state_until_ = ExpGap(1.0 / static_cast<double>(kMeanQuietCycles));
   }
 }
 
@@ -47,8 +47,8 @@ std::optional<uint64_t> ArrivalProcess::Next() {
     // crosses a state boundary is redrawn from the boundary at the new
     // state's rate without bias.
     while (true) {
-      const double rate = base_rate * (in_burst_ ? config_.burst_rate_multiplier
-                                                 : config_.quiet_rate_multiplier);
+      const double rate =
+          base_rate * (in_burst_ ? kBurstRateMultiplier : kQuietRateMultiplier);
       const double gap = ExpGap(rate);
       if (clock_ + gap <= state_until_) {
         clock_ += gap;
@@ -56,8 +56,7 @@ std::optional<uint64_t> ArrivalProcess::Next() {
       }
       clock_ = state_until_;
       in_burst_ = !in_burst_;
-      const uint64_t mean_dwell =
-          in_burst_ ? config_.mean_burst_cycles : config_.mean_quiet_cycles;
+      const uint64_t mean_dwell = in_burst_ ? kMeanBurstCycles : kMeanQuietCycles;
       state_until_ =
           clock_ + ExpGap(1.0 / static_cast<double>(mean_dwell));
       if (clock_ >= static_cast<double>(config_.horizon_cycles)) {

@@ -34,15 +34,6 @@ struct ArrivalConfig {
   // Arrivals occur strictly before this cycle; the stream then ends.
   uint64_t horizon_cycles = 1'000'000;
   uint64_t seed = 1;
-  // kBurst shape: rate multipliers per state and mean state dwell cycles.
-  // Multipliers are normalized around the mean rate by dwell-time weight in
-  // Validate() only in the sense that the DEFAULTS keep the long-run mean
-  // close to rate_per_kcycle; callers picking custom values choose their own
-  // long-run mean = rate * (q*Tq + b*Tb) / (Tq + Tb).
-  double quiet_rate_multiplier = 0.25;
-  double burst_rate_multiplier = 4.0;
-  uint64_t mean_quiet_cycles = 120'000;
-  uint64_t mean_burst_cycles = 30'000;
 
   // Named-field validation (CLI exit-2 hygiene rides on these messages).
   Status Validate() const;

@@ -6,6 +6,11 @@
 
 namespace yieldhide::serve {
 
+namespace {
+// Idle-donation chunk when no future arrival bounds the scavenger drain.
+constexpr uint64_t kDrainChunkCycles = 1u << 16;
+}  // namespace
+
 Status FrontEndConfig::Validate() const {
   YH_RETURN_IF_ERROR(arrival.Validate());
   if (queue_capacity == 0) {
@@ -398,7 +403,7 @@ bool ShardFrontEnd::Poll(sim::Machine& machine,
       // Idle event loop: donate cycles to in-flight scavenger requests until
       // the next arrival is due (or in bounded chunks past the horizon).
       const std::optional<uint64_t> next = NextArrival();
-      uint64_t budget = config_.drain_chunk_cycles;
+      uint64_t budget = kDrainChunkCycles;
       if (next.has_value() && *next > machine.now()) {
         budget = *next - machine.now();
       }

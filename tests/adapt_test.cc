@@ -199,7 +199,7 @@ TEST(DriftScoreTest, CleanExecutionScoresNearZero) {
   const auto online = ProfileWithSite(10, 50, 2, 400);  // residual noise
   const std::map<isa::Addr, isa::Addr> sites = {{10, 8}};
   const std::map<isa::Addr, runtime::YieldSiteStats> stats = {{8, Stats(200, 190)}};
-  const auto score = ComputeDriftScore(reference, online, sites, stats, {});
+  const auto score = ComputeDriftScore(reference, online, sites, stats);
   EXPECT_LT(score.score, 0.05);
   EXPECT_EQ(score.new_hot_sites, 0u);
   EXPECT_EQ(score.diverged_sites, 0u);
@@ -211,20 +211,19 @@ TEST(DriftScoreTest, HotUninstrumentedSiteRaisesAppearance) {
   const auto online = ProfileWithSite(20, 500, 480, 150'000);
   const std::map<isa::Addr, isa::Addr> sites = {{10, 8}};
   const std::map<isa::Addr, runtime::YieldSiteStats> stats = {{8, Stats(200, 190)}};
-  DriftScoreConfig config;
-  const auto score = ComputeDriftScore(reference, online, sites, stats, config);
+  const auto score = ComputeDriftScore(reference, online, sites, stats);
   EXPECT_EQ(score.new_hot_sites, 1u);
   EXPECT_NEAR(score.appearance, 1.0, 1e-9);
-  EXPECT_NEAR(score.score, config.appearance_weight, 1e-9);
+  EXPECT_NEAR(score.score, kAppearanceWeight, 1e-9);
 }
 
 TEST(DriftScoreTest, AppearanceIgnoredBelowStallFloor) {
   // Same shape as above but with negligible stall mass: adapting to noise is
   // worse than waiting.
   const auto reference = ProfileWithSite(10, 1000, 950, 300'000);
-  const auto online = ProfileWithSite(20, 5, 4, 500);  // < min_total_stall_cycles
+  const auto online = ProfileWithSite(20, 5, 4, 500);  // under the stall floor
   const auto score = ComputeDriftScore(reference, online, {{10, 8}},
-                                       {{8, Stats(200, 190)}}, {});
+                                       {{8, Stats(200, 190)}});
   EXPECT_EQ(score.new_hot_sites, 0u);
   EXPECT_DOUBLE_EQ(score.appearance, 0.0);
 }
@@ -236,16 +235,15 @@ TEST(DriftScoreTest, UselessInstrumentedSiteRaisesDivergence) {
   // the scheduler's site stats.
   const auto reference = ProfileWithSite(10, 1000, 950, 300'000);
   const profile::LoadProfile online;  // nothing uninstrumented is hot
-  DriftScoreConfig config;
   const auto score = ComputeDriftScore(reference, online, {{10, 8}},
-                                       {{8, Stats(100, 0)}}, config);
+                                       {{8, Stats(100, 0)}});
   EXPECT_EQ(score.diverged_sites, 1u);
   EXPECT_NEAR(score.divergence, 0.95, 0.01);
-  EXPECT_NEAR(score.score, config.divergence_weight * score.divergence, 1e-9);
+  EXPECT_NEAR(score.score, kDivergenceWeight * score.divergence, 1e-9);
 
   // Too few visits: the useful fraction is not yet trustworthy.
   const auto sparse = ComputeDriftScore(reference, online, {{10, 8}},
-                                        {{8, Stats(4, 0)}}, config);
+                                        {{8, Stats(4, 0)}});
   EXPECT_EQ(sparse.diverged_sites, 0u);
   EXPECT_DOUBLE_EQ(sparse.divergence, 0.0);
 }
@@ -527,13 +525,13 @@ TEST(AdaptiveServerTest, CleanStreamNeverSwaps) {
 // length — a shard never starves behind the others.
 TEST(StaggerPolicyTest, RandomSchedulesNeverOverlapAndDrainBounded) {
   constexpr size_t kShards = 4;
-  constexpr int kMinGap = 2;
+  constexpr int kMinGap = kMinEpochsBetweenSwaps;
   constexpr int kEpochs = 48;
   std::mt19937 rng(0xa2a2);
   std::bernoulli_distribution wants(0.4);
   std::bernoulli_distribution finishes(0.05);
   for (int schedule = 0; schedule < 64; ++schedule) {
-    StaggerPolicy policy(kShards, kMinGap);
+    StaggerPolicy policy(kShards);
     std::vector<int> last_swap(kShards, -(kMinGap + 1));
     std::vector<int> enqueued_at(kShards, -1);
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -569,8 +567,7 @@ TEST(StaggerPolicyTest, RandomSchedulesNeverOverlapAndDrainBounded) {
 // cool-down: the shard re-enters the FIFO only after a full cool-down from
 // the ROLLBACK epoch, and queues behind shards that asked in the meantime.
 TEST(StaggerPolicyTest, RollbackRestartsCoolDownAndReentersFifo) {
-  constexpr int kMinGap = 2;
-  StaggerPolicy policy(/*shard_count=*/2, kMinGap);
+  StaggerPolicy policy(/*shard_count=*/2);
   // Epoch 0: shard 0 takes the slot for its canary install.
   policy.BeginEpoch();
   EXPECT_TRUE(policy.Observe(0, true));
@@ -590,8 +587,8 @@ TEST(StaggerPolicyTest, RollbackRestartsCoolDownAndReentersFifo) {
   policy.BeginEpoch();
   EXPECT_FALSE(policy.Observe(0, true));
   EXPECT_EQ(policy.TakeSwap(), std::nullopt);
-  // Epoch 4: strictly more than kMinGap boundaries since the rollback — the
-  // shard re-enters the queue and takes the slot again.
+  // Epoch 4: strictly more than kMinEpochsBetweenSwaps boundaries since the
+  // rollback — the shard re-enters the queue and takes the slot again.
   policy.BeginEpoch();
   EXPECT_TRUE(policy.Observe(0, true));
   EXPECT_EQ(policy.TakeSwap(), std::optional<size_t>(0));
@@ -608,8 +605,7 @@ profile::SiteProfile Site(double execs, double l2, double stall) {
 }
 
 TEST(SharedProfileStoreTest, SaveAndWarmStartRoundTripSites) {
-  SharedProfileStoreConfig config;
-  SharedProfileStore store(config);
+  SharedProfileStore store;
   profile::LoadProfile evidence;
   evidence.AccumulateSite(11, Site(100, 60, 4000));
   evidence.AccumulateSite(23, Site(50, 2, 10));
@@ -620,7 +616,7 @@ TEST(SharedProfileStoreTest, SaveAndWarmStartRoundTripSites) {
       std::string(::testing::TempDir()) + "yh_store_roundtrip.profile";
   ASSERT_TRUE(store.SaveTo(path).ok());
 
-  SharedProfileStore loaded(config);
+  SharedProfileStore loaded;
   ASSERT_TRUE(loaded.WarmStartFrom(path).ok());
   EXPECT_TRUE(loaded.warm_started());
   ASSERT_EQ(loaded.loads().sites().size(), store.loads().sites().size());
@@ -635,8 +631,7 @@ TEST(SharedProfileStoreTest, SaveAndWarmStartRoundTripSites) {
 }
 
 TEST(SharedProfileStoreTest, WarmStartRejectsMissingAndEmptyStores) {
-  SharedProfileStoreConfig config;
-  SharedProfileStore store(config);
+  SharedProfileStore store;
   EXPECT_FALSE(store.WarmStartFrom("/nonexistent/yh_store.profile").ok());
   EXPECT_FALSE(store.warm_started());
 
@@ -645,7 +640,7 @@ TEST(SharedProfileStoreTest, WarmStartRejectsMissingAndEmptyStores) {
   const std::string path =
       std::string(::testing::TempDir()) + "yh_store_empty.profile";
   ASSERT_TRUE(store.SaveTo(path).ok());
-  SharedProfileStore loaded(config);
+  SharedProfileStore loaded;
   EXPECT_FALSE(loaded.WarmStartFrom(path).ok());
   EXPECT_FALSE(loaded.warm_started());
   std::remove(path.c_str());
@@ -656,8 +651,7 @@ TEST(SharedProfileStoreTest, SaveMergedWithKeepsRepairedSitesAtReferenceRatio) {
   // store can end the run with NO evidence at the very site the binary
   // covers. The blended save must carry that site from the reference with
   // its miss ratio intact, at the configured share of the total mass.
-  SharedProfileStoreConfig config;
-  SharedProfileStore store(config);
+  SharedProfileStore store;
   profile::LoadProfile evidence;
   evidence.AccumulateSite(1, Site(1000, 500, 20000));  // live, unrepaired
   store.BeginEpoch();
@@ -670,7 +664,7 @@ TEST(SharedProfileStoreTest, SaveMergedWithKeepsRepairedSitesAtReferenceRatio) {
       std::string(::testing::TempDir()) + "yh_store_merged.profile";
   ASSERT_TRUE(store.SaveMergedWith(reference, 0.65, path).ok());
 
-  SharedProfileStore loaded(config);
+  SharedProfileStore loaded;
   ASSERT_TRUE(loaded.WarmStartFrom(path).ok());
   ASSERT_TRUE(loaded.loads().HasIp(7));
   ASSERT_TRUE(loaded.loads().HasIp(1));
@@ -695,7 +689,7 @@ struct StoreFileBytes {
 };
 
 StoreFileBytes SavedStoreFile(const std::string& name) {
-  SharedProfileStore store(SharedProfileStoreConfig{});
+  SharedProfileStore store;
   profile::LoadProfile evidence;
   evidence.AccumulateSite(11, Site(100, 60, 4000));
   evidence.AccumulateSite(23, Site(50, 2, 10));
@@ -733,7 +727,7 @@ TEST(SharedProfileStoreTest, LoadReportsShortReadsAsOutOfRange) {
     EXPECT_NE(loaded.status().message().find("short read"), std::string::npos)
         << loaded.status();
     // The store wrapper rejects it the same way and stays cold.
-    SharedProfileStore store(SharedProfileStoreConfig{});
+    SharedProfileStore store;
     EXPECT_EQ(store.WarmStartFrom(file.path).code(), StatusCode::kOutOfRange);
     EXPECT_FALSE(store.warm_started());
   }

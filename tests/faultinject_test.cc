@@ -491,8 +491,6 @@ runtime::DualModeReport RunQuarantineScenario(bool advance_pointer,
   const auto batch = MakeBatchScavenger(machine_config);
   runtime::DualModeConfig dm;
   dm.site_quarantine = quarantine_on;
-  dm.quarantine_min_visits = 16;
-  dm.quarantine_min_useful_fraction = 0.25;
   runtime::DualModeScheduler sched(&primary, &batch, &machine, dm);
   for (int task = 0; task < 2; ++task) {
     // Each task strides a disjoint region, so in the advance_pointer case no

@@ -119,15 +119,6 @@ TEST(GuardConfigTest, ValidateNamesEachBadField) {
   const Case cases[] = {
       {"confirmation_window", [](GuardConfig& g) { g.confirmation_window = 0; }},
       {"regression_ratio", [](GuardConfig& g) { g.regression_ratio = 0.9; }},
-      {"p99_ratio", [](GuardConfig& g) { g.p99_ratio = 0.5; }},
-      {"retry_backoff_epochs",
-       [](GuardConfig& g) { g.retry_backoff_epochs = 0; }},
-      {"max_backoff_epochs",
-       [](GuardConfig& g) { g.max_backoff_epochs = g.retry_backoff_epochs - 1; }},
-      {"max_rebuild_retries",
-       [](GuardConfig& g) { g.max_rebuild_retries = 0; }},
-      {"watchdog_factor", [](GuardConfig& g) { g.watchdog_factor = -1.0; }},
-      {"poison_ttl_epochs", [](GuardConfig& g) { g.poison_ttl_epochs = 0; }},
   };
   for (const Case& c : cases) {
     GuardConfig config;
@@ -247,7 +238,6 @@ TEST(GenerationHealthTest, NoCanaryEvidencePromotes) {
 TEST(GenerationHealthTest, FlagsHiddenLatencyP99Regression) {
   GuardConfig config;
   config.confirmation_window = 1;
-  config.p99_ratio = 1.25;
   GenerationHealth health(config);
   health.Arm(0.0);
   // Cycles/op identical — only the tail regressed.
@@ -359,7 +349,7 @@ TEST(ServingFaultsTest, InvertLoadsRekeysDegenerateAllStallInputs) {
 }
 
 TEST(ServingFaultsTest, CorruptStoreFileIsDeterministicAndRejectedAtLoad) {
-  SharedProfileStore store(SharedProfileStoreConfig{});
+  SharedProfileStore store;
   profile::LoadProfile evidence;
   evidence.AccumulateSite(11, Site(100, 60, 4000));
   evidence.AccumulateSite(23, Site(50, 2, 10));
@@ -381,7 +371,7 @@ TEST(ServingFaultsTest, CorruptStoreFileIsDeterministicAndRejectedAtLoad) {
   EXPECT_EQ(ReadFileBytes(a), ReadFileBytes(b));
   // The container rejects the rotten file instead of half-loading it.
   EXPECT_FALSE(LoadStoreFile(a).ok());
-  SharedProfileStore reloaded(SharedProfileStoreConfig{});
+  SharedProfileStore reloaded;
   EXPECT_FALSE(reloaded.WarmStartFrom(a).ok());
   EXPECT_FALSE(reloaded.warm_started());
 

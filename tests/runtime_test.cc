@@ -274,7 +274,7 @@ TEST_F(DualModeTest, PointerChasingScavengersChain) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->chains, 0u);
   // On-demand scaling kicked in beyond the initial scavenger.
-  EXPECT_GT(report->scavengers_spawned, config.initial_scavengers);
+  EXPECT_GT(report->scavengers_spawned, kInitialScavengers);
 }
 
 TEST_F(DualModeTest, ChainsNeverResumeIntoOwnInflightPrefetch) {
@@ -371,7 +371,6 @@ TEST_F(DualModeTest, QuarantineFiresWithExternalSupplierScavengers) {
     info.kind = instrument::YieldKind::kPrimary;
   }
   DualModeConfig config;
-  config.quarantine_min_visits = 16;
   DualModeScheduler sched(&primary, &scavenger_, machine_.get(), config);
   sched.AddPrimaryTask([](sim::CpuContext& ctx) {
     ctx.regs[1] = 0x100000;
@@ -423,7 +422,6 @@ TEST_F(DualModeTest, TailQuarantineFiresOnExpensiveSwitchSite) {
   }
   DualModeConfig config;
   config.quarantine_use_tail = true;
-  config.quarantine_min_visits = 16;
   DualModeScheduler sched(&primary_, &scavenger_, machine_.get(), config);
   for (int i = 0; i < 2; ++i) {
     sched.AddPrimaryTask(PrimaryTask(i));
@@ -451,7 +449,6 @@ TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
   }
   {
     DualModeConfig config;
-    config.quarantine_min_visits = 16;
     ASSERT_FALSE(config.quarantine_use_tail);  // default stays off
     DualModeScheduler sched(&primary_, &scavenger_, machine_.get(), config);
     sched.AddPrimaryTask(PrimaryTask(0));
@@ -461,7 +458,7 @@ TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
     EXPECT_EQ(report->sites_quarantined, 0u);
     EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
     EXPECT_GT(report->site_stats.begin()->second.visits,
-              config.quarantine_min_visits);
+              kQuarantineMinVisits);
   }
   // Flag on, cheap switches: p99 stays under the threshold, site stays live.
   for (auto& [addr, info] : primary_.yields) {
@@ -472,7 +469,6 @@ TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
     WriteRing(*machine, 0x100000, kLines, 1021);
     DualModeConfig config;
     config.quarantine_use_tail = true;
-    config.quarantine_min_visits = 16;
     DualModeScheduler sched(&primary_, &scavenger_, machine.get(), config);
     sched.AddPrimaryTask(PrimaryTask(0));
     sched.SetScavengerFactory(AluScavengers(100));
@@ -481,7 +477,7 @@ TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
     EXPECT_EQ(report->sites_quarantined, 0u);
     EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
     EXPECT_GT(report->site_stats.begin()->second.visits,
-              config.quarantine_min_visits);
+              kQuarantineMinVisits);
   }
 }
 
