@@ -45,8 +45,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-LatencyHistogram::LatencyHistogram() : buckets_(64 * kSubBuckets, 0) {}
-
 int LatencyHistogram::BucketIndex(uint64_t value) {
   if (value < kSubBuckets) {
     return static_cast<int>(value);  // exact buckets for small values
@@ -71,17 +69,11 @@ uint64_t LatencyHistogram::BucketUpperBound(int index) {
   return ((static_cast<uint64_t>(kSubBuckets + sub) + 1) << shift) - 1;
 }
 
-void LatencyHistogram::Record(uint64_t value) { RecordN(value, 1); }
-
 void LatencyHistogram::RecordN(uint64_t value, uint64_t n) {
   if (n == 0) {
     return;
   }
-  const int idx = BucketIndex(value);
-  if (idx >= static_cast<int>(buckets_.size())) {
-    buckets_.resize(idx + 1, 0);
-  }
-  buckets_[idx] += n;
+  buckets_[BucketIndex(value)] += n;
   count_ += n;
   sum_ += value * n;
   min_ = std::min(min_, value);
@@ -89,24 +81,13 @@ void LatencyHistogram::RecordN(uint64_t value, uint64_t n) {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+  for (const auto& [index, n] : other.buckets_) {
+    buckets_[index] += n;
   }
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<uint64_t>::max();
-  max_ = 0;
 }
 
 uint64_t LatencyHistogram::ValueAtQuantile(double q) const {
@@ -117,10 +98,10 @@ uint64_t LatencyHistogram::ValueAtQuantile(double q) const {
   const uint64_t target =
       static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) {
-      return std::min<uint64_t>(BucketUpperBound(static_cast<int>(i)), max_);
+  for (const auto& [index, n] : buckets_) {  // map iterates in index order
+    seen += n;
+    if (seen >= target) {
+      return std::min<uint64_t>(BucketUpperBound(index), max_);
     }
   }
   return max_;

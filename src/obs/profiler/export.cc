@@ -31,7 +31,7 @@ std::vector<std::pair<uint64_t, const SiteCycles*>> SitesByTotal(
   return out;
 }
 
-std::string HistogramJson(const SparseHistogram& hist) {
+std::string HistogramJson(const LatencyHistogram& hist) {
   return StrFormat(
       "{\"count\": %llu, \"p50\": %llu, \"p95\": %llu, \"p99\": %llu, "
       "\"max\": %llu}",

@@ -522,8 +522,8 @@ std::string ToSpanTopTable(const std::vector<const SpanCollector*>& shards,
       continue;
     }
     // Per-request class-cycle distribution, merged across shards
-    // (SparseHistogram merge == concatenation).
-    SparseHistogram merged;
+    // (LatencyHistogram merge == concatenation).
+    LatencyHistogram merged;
     for (const SpanCollector* c : shards) {
       merged.Merge(c->class_histogram(i));
     }

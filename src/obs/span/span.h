@@ -40,8 +40,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/stats.h"
 #include "src/common/status.h"
-#include "src/obs/sparse_histogram.h"
 #include "src/obs/trace.h"
 
 namespace yieldhide::obs {
@@ -174,8 +174,8 @@ class SpanCollector {
   // Per-class latency distribution over completed requests: each request's
   // nonzero class totals are recorded into one histogram per span class at
   // finalize, which is what the p50/p90/p99 columns in `yhc spans --top`
-  // quote. Merge across shards is concatenation (SparseHistogram::Merge).
-  const SparseHistogram& class_histogram(size_t cls) const {
+  // quote. Merge across shards is concatenation (LatencyHistogram::Merge).
+  const LatencyHistogram& class_histogram(size_t cls) const {
     return class_hist_[cls];
   }
 
@@ -253,7 +253,7 @@ class SpanCollector {
   std::vector<RequestSpan> completed_;
   uint64_t completed_count_ = 0;
   uint64_t class_totals_[kNumSpanClasses] = {};
-  SparseHistogram class_hist_[kNumSpanClasses];
+  LatencyHistogram class_hist_[kNumSpanClasses];
   std::vector<EpochSlice> epoch_slices_;
   uint64_t transitions_ = 0;
   uint64_t charged_transitions_ = 0;

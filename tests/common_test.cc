@@ -349,6 +349,96 @@ TEST(LatencyHistogramTest, SummaryMentionsPercentiles) {
   EXPECT_NE(summary.find("p99="), std::string::npos);
 }
 
+// --- SparseHistogramTest: LatencyHistogram's sparse bucket map -------------
+
+TEST(SparseHistogramTest, EmptyHistogramIsAllZeros) {
+  LatencyHistogram hist;
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(hist.sum(), 0u);
+  EXPECT_EQ(hist.min(), 0u);
+  EXPECT_EQ(hist.max(), 0u);
+  EXPECT_EQ(hist.mean(), 0.0);
+  EXPECT_EQ(hist.P50(), 0u);
+  EXPECT_EQ(hist.P99(), 0u);
+  EXPECT_EQ(hist.bucket_count(), 0u);
+}
+
+TEST(SparseHistogramTest, SingleSampleIsEveryQuantile) {
+  LatencyHistogram hist;
+  hist.Record(37);
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(hist.min(), 37u);
+  EXPECT_EQ(hist.max(), 37u);
+  // Quantiles clamp to the exact max, not the bucket's upper bound.
+  EXPECT_EQ(hist.P50(), 37u);
+  EXPECT_EQ(hist.P95(), 37u);
+  EXPECT_EQ(hist.P99(), 37u);
+  EXPECT_EQ(hist.bucket_count(), 1u);
+}
+
+TEST(SparseHistogramTest, BucketBoundaryStraddle) {
+  // Two adjacent values straddling a bucket boundary must land in different
+  // buckets; two values inside one bucket must share it.
+  const uint64_t boundary = LatencyHistogram::BucketUpperBound(
+      LatencyHistogram::BucketIndex(1000));
+  LatencyHistogram split;
+  split.Record(boundary);
+  split.Record(boundary + 1);
+  EXPECT_EQ(split.bucket_count(), 2u);
+  EXPECT_NE(LatencyHistogram::BucketIndex(boundary),
+            LatencyHistogram::BucketIndex(boundary + 1));
+  // Below kSubBuckets the buckets are exact: every small value is its own
+  // bucket and quantiles are exact, not quantized.
+  LatencyHistogram small;
+  small.Record(3);
+  small.Record(4);
+  EXPECT_EQ(small.bucket_count(), 2u);
+  EXPECT_EQ(small.P50(), 3u);
+  EXPECT_EQ(small.max(), 4u);
+}
+
+TEST(SparseHistogramTest, MergeEqualsConcatenatedStream) {
+  LatencyHistogram a, b, both;
+  const uint64_t stream_a[] = {1, 7, 7, 130, 4096, 70000};
+  const uint64_t stream_b[] = {2, 7, 129, 131, 131, 9999999};
+  for (uint64_t v : stream_a) {
+    a.Record(v);
+    both.Record(v);
+  }
+  for (uint64_t v : stream_b) {
+    b.Record(v);
+    both.Record(v);
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.sum(), both.sum());
+  EXPECT_EQ(a.min(), both.min());
+  EXPECT_EQ(a.max(), both.max());
+  EXPECT_EQ(a.bucket_count(), both.bucket_count());
+  for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(a.ValueAtQuantile(q), both.ValueAtQuantile(q)) << "q=" << q;
+  }
+}
+
+TEST(SparseHistogramTest, QuantilesAreMonotone) {
+  LatencyHistogram hist;
+  // A spread of magnitudes, including repeats and a heavy tail.
+  for (uint64_t v = 1; v <= 200; ++v) {
+    hist.Record(v);
+  }
+  hist.RecordN(50000, 3);
+  EXPECT_LE(hist.P50(), hist.P95());
+  EXPECT_LE(hist.P95(), hist.P99());
+  EXPECT_LE(hist.P99(), hist.max());
+  EXPECT_GE(hist.P50(), hist.min());
+  const std::string summary = hist.Summary();
+  EXPECT_NE(summary.find("n=203"), std::string::npos);
+  EXPECT_NE(summary.find("p99="), std::string::npos);
+  hist.Reset();
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(hist.P99(), 0u);
+}
+
 // --- strings -------------------------------------------------------------------
 
 TEST(StringsTest, SplitBasic) {
