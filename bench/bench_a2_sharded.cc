@@ -34,7 +34,6 @@
 
 #include "bench/bench_util.h"
 #include "src/adapt/server_group.h"
-#include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
 #include "src/workloads/phased_chase.h"
@@ -48,33 +47,6 @@ constexpr int kTasksPerEpoch = 4;
 constexpr uint64_t kChaseSteps = 400;
 constexpr double kRecoveryFloor = 0.90;  // the A1 bar, per shard
 constexpr double kAppearanceCeiling = 0.05;
-
-// Same compute-heavy scavenger kernel as A1/R1/C5.
-instrument::InstrumentedProgram MakeScavengedBatch(
-    const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
-
-runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
-  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-  };
-}
 
 adapt::AdaptiveServerConfig ShardConfig(const core::PipelineConfig& pipeline) {
   adapt::AdaptiveServerConfig config;
@@ -160,27 +132,6 @@ Result<GroupOutcome> RunGroup(const workloads::PhasedChase& chase,
   }
   YH_ASSIGN_OR_RETURN(out.report, group.Run());
   return out;
-}
-
-// Issue-weighted mean efficiency of the epochs after the last swap (same
-// definition as A1).
-double SteadyStateEfficiency(const adapt::AdaptReport& report) {
-  size_t first = 0;
-  for (size_t i = 0; i < report.epochs.size(); ++i) {
-    if (report.epochs[i].swapped) {
-      first = i + 1;
-    }
-  }
-  if (first >= report.epochs.size()) {
-    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
-  }
-  double cycles = 0.0, issue = 0.0;
-  for (size_t i = first; i < report.epochs.size(); ++i) {
-    cycles += static_cast<double>(report.epochs[i].cycles);
-    issue += report.epochs[i].efficiency *
-             static_cast<double>(report.epochs[i].cycles);
-  }
-  return cycles > 0.0 ? issue / cycles : 0.0;
 }
 
 size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {

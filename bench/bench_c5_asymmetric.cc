@@ -20,7 +20,6 @@
 // from ~4% to >60%; symmetric scheduling reaches similar efficiency but
 // inflates request latency by roughly the ring size.
 #include "bench/bench_util.h"
-#include "src/isa/builder.h"
 #include "src/runtime/dual_mode.h"
 #include "src/workloads/pointer_chase.h"
 
@@ -29,26 +28,6 @@ namespace {
 
 constexpr int kRequests = 48;
 constexpr uint64_t kChaseSteps = 400;
-
-// Compute-heavy batch kernel, then scavenger-instrumented at 300 cycles.
-instrument::InstrumentedProgram MakeScavengedBatch(const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
 
 }  // namespace
 }  // namespace yieldhide::bench
@@ -86,10 +65,7 @@ int main(int argc, char** argv) {
       sched.AddPrimaryTask(chase.SetupFor(i));
     }
     if (with_factory) {
-      sched.SetScavengerFactory(
-          []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-            return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-          });
+      sched.SetScavengerFactory(BatchFactory());
     }
     auto report = sched.Run();
     if (!report.ok()) {

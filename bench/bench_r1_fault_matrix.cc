@@ -29,7 +29,6 @@
 #include "src/faultinject/drift.h"
 #include "src/faultinject/fault.h"
 #include "src/faultinject/profile_faults.h"
-#include "src/isa/builder.h"
 #include "src/runtime/dual_mode.h"
 #include "src/workloads/pointer_chase.h"
 
@@ -39,26 +38,6 @@ namespace {
 constexpr int kRequests = 32;
 constexpr uint64_t kChaseSteps = 400;
 constexpr double kSlowdownBound = 1.15;
-
-// Same compute-heavy scavenger kernel as C5.
-instrument::InstrumentedProgram MakeScavengedBatch(const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
 
 struct DualOutcome {
   bool ok = false;
@@ -84,10 +63,7 @@ DualOutcome RunDual(const workloads::SimWorkload& workload,
     sched.AddPrimaryTask(workload.SetupFor(i));
   }
   if (with_factory) {
-    sched.SetScavengerFactory(
-        []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-          return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-        });
+    sched.SetScavengerFactory(BatchFactory());
   }
   auto report = sched.Run();
   DualOutcome out;

@@ -13,9 +13,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/adapt/shard.h"
 #include "src/common/strings.h"
 #include "src/core/pipeline.h"
+#include "src/instrument/scavenger_pass.h"
+#include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
+#include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
 
 namespace yieldhide::bench {
@@ -175,6 +179,56 @@ inline core::PipelineConfig BenchPipeline() {
   config.collector.retired_period = 61;
   config.Finalize();
   return config;
+}
+
+// The compute-heavy scavenger kernel of A1, A2, C5, R1 and R2: an ALU loop
+// (40 x {addi, xor}, r2 iterations), scavenger-instrumented at 300 cycles.
+inline instrument::InstrumentedProgram MakeScavengedBatch(
+    const sim::MachineConfig& machine) {
+  isa::ProgramBuilder builder("alu_batch");
+  auto loop = builder.Here("loop");
+  for (int i = 0; i < 40; ++i) {
+    builder.Addi(3, 3, 1);
+    builder.Xor(4, 4, 3);
+  }
+  builder.Addi(2, 2, -1);
+  builder.Bne(2, 0, loop);
+  builder.Halt();
+  instrument::InstrumentedProgram input;
+  input.program = std::move(builder).Build().value();
+  instrument::ScavengerConfig config;
+  config.target_interval_cycles = 300;
+  config.machine_cost = machine.cost;
+  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
+  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
+}
+
+// An endless supply of MakeScavengedBatch coroutines, 1M iterations each.
+inline runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
+  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
+  };
+}
+
+// Issue-weighted mean efficiency of the epochs after the last swap (all
+// epochs when the run never swapped).
+inline double SteadyStateEfficiency(const adapt::AdaptReport& report) {
+  size_t first = 0;
+  for (size_t i = 0; i < report.epochs.size(); ++i) {
+    if (report.epochs[i].swapped) {
+      first = i + 1;
+    }
+  }
+  if (first >= report.epochs.size()) {
+    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
+  }
+  double cycles = 0.0, issue = 0.0;
+  for (size_t i = first; i < report.epochs.size(); ++i) {
+    cycles += static_cast<double>(report.epochs[i].cycles);
+    issue += report.epochs[i].efficiency *
+             static_cast<double>(report.epochs[i].cycles);
+  }
+  return cycles > 0.0 ? issue / cycles : 0.0;
 }
 
 }  // namespace yieldhide::bench
