@@ -83,27 +83,30 @@ std::vector<std::string> Options::StrList(const std::string& name) const {
   return it == repeated_.end() ? std::vector<std::string>() : it->second;
 }
 
-uint64_t Options::U64(const std::string& name, uint64_t fallback) {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return fallback;
-  }
-  Result<uint64_t> parsed = ParseUint64(it->second);
-  if (!parsed.ok()) {
-    Fail("bad --" + name);
-    return fallback;
-  }
-  return *parsed;
+uint64_t Options::U64(const std::string& name, uint64_t fallback,
+                      uint64_t max) {
+  return BoundedU64(name, fallback, 0, max);
 }
 
-uint64_t Options::PositiveU64(const std::string& name, uint64_t fallback) {
+uint64_t Options::PositiveU64(const std::string& name, uint64_t fallback,
+                              uint64_t max) {
+  return BoundedU64(name, fallback, 1, max);
+}
+
+uint64_t Options::BoundedU64(const std::string& name, uint64_t fallback,
+                             uint64_t min, uint64_t max) {
   auto it = flags_.find(name);
   if (it == flags_.end()) {
     return fallback;
   }
   Result<uint64_t> parsed = ParseUint64(it->second);
-  if (!parsed.ok() || *parsed == 0) {
+  if (!parsed.ok() || *parsed < min) {
     Fail("bad --" + name);
+    return fallback;
+  }
+  if (*parsed > max) {
+    Fail(StrFormat("bad --%s (want <= %llu)", name.c_str(),
+                   static_cast<unsigned long long>(max)));
     return fallback;
   }
   return *parsed;

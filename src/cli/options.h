@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -57,9 +58,14 @@ class Options {
   // Typed accessors. On a malformed (or out-of-policy) value they record the
   // named error — first failure wins — and return the fallback, so a command
   // can read every flag before checking ok() once.
-  uint64_t U64(const std::string& name, uint64_t fallback);
+  // A value above `max` is "bad --name (want <= max)": a command that stores
+  // the flag in a narrower type passes that type's maximum, so a huge value
+  // fails instead of silently wrapping.
+  uint64_t U64(const std::string& name, uint64_t fallback,
+               uint64_t max = std::numeric_limits<uint64_t>::max());
   // Additionally rejects 0.
-  uint64_t PositiveU64(const std::string& name, uint64_t fallback);
+  uint64_t PositiveU64(const std::string& name, uint64_t fallback,
+                       uint64_t max = std::numeric_limits<uint64_t>::max());
   double Double(const std::string& name, double fallback);
   // Rejects values outside [0, 1]: "bad --name (want 0..1)".
   double UnitDouble(const std::string& name, double fallback);
@@ -90,6 +96,8 @@ class Options {
 
  private:
   void Fail(const std::string& message);
+  uint64_t BoundedU64(const std::string& name, uint64_t fallback, uint64_t min,
+                      uint64_t max);
 
   std::vector<std::string> positional_;
   std::map<std::string, std::string> flags_;

@@ -126,6 +126,68 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// Every flag yhc stores in an int or uint32_t rejects a value past that
+// type's range by name instead of silently wrapping (4294967297 used to
+// become 1, 2147483648 a negative count).
+struct NarrowedFlagCase {
+  const char* name;
+  const char* command;
+  const char* args;
+  const char* flag;
+};
+
+void PrintTo(const NarrowedFlagCase& c, std::ostream* os) { *os << c.name; }
+
+class CliNarrowedFlagTest : public ::testing::TestWithParam<NarrowedFlagCase> {};
+
+TEST_P(CliNarrowedFlagTest, OutOfRangeValueExitsTwoWithNamedError) {
+  const NarrowedFlagCase& c = GetParam();
+  const CommandResult r =
+      RunYhc(std::string(c.command) + " " + c.args + " --" + c.flag +
+                 " 4294967297 > /dev/null",
+             std::string("narrowed_") + c.name);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.stderr_text.find(std::string("bad --") + c.flag),
+            std::string::npos)
+      << r.stderr_text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryNarrowedFlag, CliNarrowedFlagTest,
+    ::testing::Values(
+        NarrowedFlagCase{"run_group", "run", "in.yh", "group"},
+        NarrowedFlagCase{"instrument_interval", "instrument",
+                         "in.yh --profile in.prof --out o.yh", "interval"},
+        NarrowedFlagCase{"chaos_group", "chaos", "in.yh --fault drop:1",
+                         "group"},
+        NarrowedFlagCase{"adapt_tasks", "adapt", "", "tasks"},
+        NarrowedFlagCase{"adapt_epoch", "adapt", "", "epoch"},
+        NarrowedFlagCase{"adapt_flip", "adapt", "", "flip"},
+        NarrowedFlagCase{"serve_shards", "serve", "", "shards"},
+        NarrowedFlagCase{"serve_tasks", "serve", "", "tasks"},
+        NarrowedFlagCase{"serve_epoch", "serve", "", "epoch"},
+        NarrowedFlagCase{"serve_flip", "serve", "", "flip"},
+        NarrowedFlagCase{"serve_guard_window", "serve", "--guard 1",
+                         "guard-window"},
+        NarrowedFlagCase{"serve_arrival_epoch", "serve", "--arrival poisson",
+                         "epoch"},
+        NarrowedFlagCase{"serve_arrival_guard_window", "serve",
+                         "--arrival poisson --guard 1", "guard-window"},
+        NarrowedFlagCase{"profile_tasks", "profile", "--json", "tasks"},
+        NarrowedFlagCase{"profile_epoch", "profile", "--json", "epoch"},
+        NarrowedFlagCase{"trace_tasks", "trace", "", "tasks"},
+        NarrowedFlagCase{"trace_epoch", "trace", "", "epoch"},
+        NarrowedFlagCase{"trace_mask", "trace", "", "mask"},
+        NarrowedFlagCase{"metrics_tasks", "metrics", "", "tasks"},
+        NarrowedFlagCase{"metrics_epoch", "metrics", "", "epoch"},
+        NarrowedFlagCase{"spans_epoch", "spans", "--json", "epoch"},
+        NarrowedFlagCase{"slo_epoch", "slo", "", "epoch"},
+        NarrowedFlagCase{"why_epoch", "why", "", "epoch"},
+        NarrowedFlagCase{"why_flip", "why", "", "flip"}),
+    [](const ::testing::TestParamInfo<NarrowedFlagCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- observability exports ---------------------------------------------------
 
 TEST(CliTest, TraceExportsValidChromeJson) {

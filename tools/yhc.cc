@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -63,6 +64,10 @@ namespace yieldhide::tools {
 namespace {
 
 using cli::Options;
+
+// Upper bounds for flags stored in a narrower type (see Options::U64).
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 
 int CmdAsm(Options& options) {
   options.RejectUnknownFlags("asm", {});
@@ -164,6 +169,8 @@ int CmdInterval(Options& options) {
 
 int CmdRun(Options& options) {
   options.RejectUnknownFlags("run", {"group", "max-insns"});
+  const uint64_t group = options.PositiveU64("group", 1, kMaxInt);
+  const uint64_t max_insns = options.U64("max-insns", 100'000'000);
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -176,11 +183,6 @@ int CmdRun(Options& options) {
   if (!program.ok()) {
     std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
     return 1;
-  }
-  const uint64_t group = options.PositiveU64("group", 1);
-  const uint64_t max_insns = options.U64("max-insns", 100'000'000);
-  if (!options.ok()) {
-    return options.UsageError();
   }
 
   sim::Machine machine(sim::MachineConfig::SkylakeLike());
@@ -277,6 +279,8 @@ int CmdProfile(Options& options) {
 int CmdInstrument(Options& options) {
   options.RejectUnknownFlags("instrument",
                              {"profile", "out", "interval", "threshold"});
+  const uint64_t interval = options.PositiveU64("interval", 300, kMaxU32);
+  const double threshold = options.Double("threshold", -1.0);
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -300,11 +304,6 @@ int CmdInstrument(Options& options) {
 
   core::PipelineConfig config;
   config.machine = sim::MachineConfig::SkylakeLike();
-  const uint64_t interval = options.PositiveU64("interval", 300);
-  const double threshold = options.Double("threshold", -1.0);
-  if (!options.ok()) {
-    return options.UsageError();
-  }
   config.scavenger.target_interval_cycles = static_cast<uint32_t>(interval);
   if (options.Has("threshold")) {
     config.primary.policy = instrument::PrimaryPolicy::kMissThreshold;
@@ -366,6 +365,10 @@ int CmdInstrument(Options& options) {
 int CmdChaos(Options& options) {
   options.RejectUnknownFlags("chaos",
                              {"fault", "group", "period", "seed", "quarantine"});
+  const uint64_t group = options.PositiveU64("group", 8, kMaxInt);
+  const uint64_t period = options.PositiveU64("period", 29);
+  const uint64_t seed = options.U64("seed", 1);
+  const uint64_t quarantine = options.U64("quarantine", 1);
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -386,13 +389,6 @@ int CmdChaos(Options& options) {
   if (!faults.ok()) {
     std::fprintf(stderr, "%s\n", faults.status().ToString().c_str());
     return 1;
-  }
-  const uint64_t group = options.PositiveU64("group", 8);
-  const uint64_t period = options.PositiveU64("period", 29);
-  const uint64_t seed = options.U64("seed", 1);
-  const uint64_t quarantine = options.U64("quarantine", 1);
-  if (!options.ok()) {
-    return options.UsageError();
   }
 
   // --- step 1: clean profile of the original binary ------------------------
@@ -692,9 +688,9 @@ Result<ClosedLoopRun> ServeClosedLoop(const AdaptScenario& scenario,
 // at a task boundary. --adapt 0 demotes the controller to a monitor-only
 // control run (scores drift, never acts).
 int CmdAdapt(Options& options) {
-  const uint64_t tasks = options.PositiveU64("tasks", 32);
-  const uint64_t epoch = options.PositiveU64("epoch", 8);
-  const uint64_t flip = options.U64("flip", 0);
+  const uint64_t tasks = options.PositiveU64("tasks", 32, kMaxInt);
+  const uint64_t epoch = options.PositiveU64("epoch", 8, kMaxInt);
+  const uint64_t flip = options.U64("flip", 0, kMaxInt);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 18);
   const uint64_t steps = options.PositiveU64("steps", 400);
   const uint64_t adapt_on = options.U64("adapt", 1);
@@ -758,14 +754,14 @@ int CmdAdapt(Options& options) {
 // slots. Reports the conservation ledger and end-to-end latency tails.
 int CmdServeOpenLoop(Options& options) {
   const uint64_t shards = options.PositiveU64("shards", 1);
-  const uint64_t epoch = options.PositiveU64("epoch", 8);
+  const uint64_t epoch = options.PositiveU64("epoch", 8, kMaxInt);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
   const uint64_t steps = options.PositiveU64("steps", 300);
   const uint64_t adapt_on = options.U64("adapt", 1);
   const double severity = options.UnitDouble("severity", 0.0);
   const double threshold = options.Double("threshold", 0.25);
   const uint64_t guard_on = options.U64("guard", 0);
-  const uint64_t guard_window = options.PositiveU64("guard-window", 3);
+  const uint64_t guard_window = options.PositiveU64("guard-window", 3, kMaxInt);
   const double guard_ratio = options.Double("guard-ratio", 2.5);
   const std::string arrival =
       options.Choice("arrival", "poisson", {"poisson", "burst"});
@@ -898,10 +894,10 @@ int CmdServe(Options& options) {
   if (options.Has("arrival")) {
     return CmdServeOpenLoop(options);
   }
-  const uint64_t shards = options.PositiveU64("shards", 4);
-  const uint64_t tasks = options.PositiveU64("tasks", 32);  // per shard
-  const uint64_t epoch = options.PositiveU64("epoch", 8);
-  const uint64_t flip = options.U64("flip", 0);
+  const uint64_t shards = options.PositiveU64("shards", 4, kMaxInt);
+  const uint64_t tasks = options.PositiveU64("tasks", 32, kMaxInt);  // per shard
+  const uint64_t epoch = options.PositiveU64("epoch", 8, kMaxInt);
+  const uint64_t flip = options.U64("flip", 0, kMaxInt);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 18);
   const uint64_t steps = options.PositiveU64("steps", 400);
   const uint64_t adapt_on = options.U64("adapt", 1);
@@ -910,7 +906,7 @@ int CmdServe(Options& options) {
   const double threshold = options.Double("threshold", 0.25);
   const std::string store_path = options.Str("store", "");
   const uint64_t guard_on = options.U64("guard", 0);
-  const uint64_t guard_window = options.PositiveU64("guard-window", 3);
+  const uint64_t guard_window = options.PositiveU64("guard-window", 3, kMaxInt);
   // The adapt scenario's single hot loop prices hiding at roughly 2x wall
   // cycles per op (every primary load yields), so the canary threshold sits
   // above that; sharded production workloads tune it per deployment.
@@ -1031,8 +1027,8 @@ int RunObservedAdaptScenario(Options& options, obs::TraceRecorder* trace,
                              obs::MetricsRegistry* metrics,
                              double* cycles_per_ns_out,
                              obs::CycleProfiler* profiler = nullptr) {
-  const uint64_t tasks = options.PositiveU64("tasks", 24);
-  const uint64_t epoch = options.PositiveU64("epoch", 6);
+  const uint64_t tasks = options.PositiveU64("tasks", 24, kMaxInt);
+  const uint64_t epoch = options.PositiveU64("epoch", 6, kMaxInt);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
   const uint64_t steps = options.PositiveU64("steps", 300);
   const double severity = options.UnitDouble("severity", 1.0);
@@ -1167,7 +1163,7 @@ int RunObservedServe(Options& options, const char* command,
                      const obs::SloConfig& slo, bool diagnose,
                      ObservedServe* out) {
   const uint64_t shards = options.PositiveU64("shards", 1);
-  const uint64_t epoch = options.PositiveU64("epoch", 8);
+  const uint64_t epoch = options.PositiveU64("epoch", 8, kMaxInt);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
   const uint64_t steps = options.PositiveU64("steps", 300);
   const std::string arrival =
@@ -1179,7 +1175,7 @@ int RunObservedServe(Options& options, const char* command,
   const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
   // Only `yhc why` accepts these; spans and slo reject them as unknown.
   const double severity = options.UnitDouble("severity", diagnose ? 1.0 : 0.0);
-  const uint64_t flip = options.U64("flip", diagnose ? 40 : 0);
+  const uint64_t flip = options.U64("flip", diagnose ? 40 : 0, kMaxInt);
   const uint64_t adapt_on = options.U64("adapt", 0);
   const uint64_t guard_on = options.U64("guard", 0);
   const double threshold = options.Double("threshold", 0.25);
@@ -1581,7 +1577,7 @@ int CmdTrace(Options& options) {
   obs::TraceConfig trace_config;
   const uint64_t capacity =
       options.PositiveU64("capacity", trace_config.capacity);
-  const uint64_t mask = options.U64("mask", obs::kDefaultTraceMask);
+  const uint64_t mask = options.U64("mask", obs::kDefaultTraceMask, kMaxU32);
   options.RejectUnknownFlags("trace", {"capacity", "mask", "out", "tasks",
                                        "epoch", "nodes", "steps", "severity"});
   if (!options.ok()) {
