@@ -1,6 +1,5 @@
 #include "src/cli/options.h"
 
-#include <cmath>
 #include <cstdio>
 #include <string_view>
 
@@ -131,7 +130,7 @@ double Options::PositiveDouble(const std::string& name, double fallback) {
     return fallback;
   }
   Result<double> parsed = ParseDouble(it->second);
-  if (!parsed.ok() || !(*parsed > 0.0) || !std::isfinite(*parsed)) {
+  if (!parsed.ok() || !(*parsed > 0.0)) {
     Fail("bad --" + name + " (want > 0)");
     return fallback;
   }

@@ -66,10 +66,11 @@ class Options {
   // Additionally rejects 0.
   uint64_t PositiveU64(const std::string& name, uint64_t fallback,
                        uint64_t max = std::numeric_limits<uint64_t>::max());
+  // Any finite number; "nan" and "inf" are "bad --name" here and below.
   double Double(const std::string& name, double fallback);
   // Rejects values outside [0, 1]: "bad --name (want 0..1)".
   double UnitDouble(const std::string& name, double fallback);
-  // Rejects zero, negatives, and non-finite values: "bad --name (want > 0)".
+  // Rejects zero and negatives: "bad --name (want > 0)".
   double PositiveDouble(const std::string& name, double fallback);
   // Enumerated value: "bad --name (want a|b|c)".
   std::string Choice(const std::string& name, const std::string& fallback,

@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -93,8 +94,8 @@ Result<double> ParseDouble(std::string_view s) {
   if (errno == ERANGE) {
     return OutOfRangeError("double out of range: " + buf);
   }
-  if (end != buf.c_str() + buf.size()) {
-    return InvalidArgumentError("not a double: " + buf);
+  if (end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+    return InvalidArgumentError("not a finite double: " + buf);
   }
   return v;
 }

@@ -21,7 +21,8 @@ std::string_view TrimString(std::string_view input);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-// Strict integer parsing; the whole string must be consumed.
+// Strict number parsing; the whole string must be consumed. ParseDouble also
+// rejects "nan" and "inf", so every parsed double is finite.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<uint64_t> ParseUint64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);

@@ -1,7 +1,6 @@
 #include "src/profile/profile.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/strings.h"
 
@@ -187,14 +186,12 @@ Result<LoadProfile> LoadProfile::Deserialize(std::string_view text) {
     YH_ASSIGN_OR_RETURN(site.est_l2_misses, ParseDouble(fields[3]));
     YH_ASSIGN_OR_RETURN(site.est_l3_misses, ParseDouble(fields[4]));
     YH_ASSIGN_OR_RETURN(site.est_stall_cycles, ParseDouble(fields[5]));
-    // ParseDouble accepts whatever strtod does, including "inf" and "nan";
-    // a count estimate must be a finite non-negative number.
     for (const double v : {site.est_executions, site.est_l1_misses,
                            site.est_l2_misses, site.est_l3_misses,
                            site.est_stall_cycles}) {
-      if (!std::isfinite(v) || v < 0) {
+      if (v < 0) {
         return InvalidArgumentError(
-            StrFormat("load-profile line %zu: non-finite or negative count", i));
+            StrFormat("load-profile line %zu: negative count", i));
       }
     }
     profile.sites_[static_cast<isa::Addr>(ip)] = site;
@@ -352,9 +349,9 @@ Result<BlockLatencyProfile> BlockLatencyProfile::Deserialize(std::string_view te
       RunStats stats;
       YH_ASSIGN_OR_RETURN(stats.count, ParseUint64(fields[3]));
       YH_ASSIGN_OR_RETURN(stats.total_cycles, ParseDouble(fields[4]));
-      if (!std::isfinite(stats.total_cycles) || stats.total_cycles < 0) {
+      if (stats.total_cycles < 0) {
         return InvalidArgumentError(
-            StrFormat("run line %zu: non-finite or negative cycles", i));
+            StrFormat("run line %zu: negative cycles", i));
       }
       profile.runs_[{static_cast<isa::Addr>(a), static_cast<isa::Addr>(b)}] = stats;
     } else if (fields[0] == "edge") {

@@ -188,6 +188,79 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// Every floating-point flag yhc reads rejects a non-finite value by name
+// (NaN used to pass every range check: `drift >= NaN` never holds, so
+// `adapt --threshold nan` silently disabled swaps and exited 0), and so does
+// a fault severity.
+struct NonFiniteFlagCase {
+  const char* name;
+  const char* command;
+  const char* args;
+  const char* flag;
+  const char* value;
+  const char* error;  // expected in stderr
+};
+
+void PrintTo(const NonFiniteFlagCase& c, std::ostream* os) { *os << c.name; }
+
+class CliNonFiniteFlagTest : public ::testing::TestWithParam<NonFiniteFlagCase> {};
+
+TEST_P(CliNonFiniteFlagTest, NonFiniteValueExitsTwoWithNamedError) {
+  const NonFiniteFlagCase& c = GetParam();
+  const CommandResult r =
+      RunYhc(std::string(c.command) + " " + c.args + " --" + c.flag + " " +
+                 c.value + " > /dev/null",
+             std::string("non_finite_") + c.name);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.stderr_text.find(c.error), std::string::npos) << r.stderr_text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDoubleFlag, CliNonFiniteFlagTest,
+    ::testing::Values(
+        NonFiniteFlagCase{"instrument_threshold", "instrument",
+                          "in.yh --profile in.prof --out o.yh", "threshold",
+                          "nan", "bad --threshold"},
+        NonFiniteFlagCase{"adapt_severity", "adapt", "", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"adapt_threshold", "adapt", "", "threshold", "inf",
+                          "bad --threshold"},
+        NonFiniteFlagCase{"serve_severity", "serve", "", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"serve_threshold", "serve", "", "threshold", "nan",
+                          "bad --threshold"},
+        NonFiniteFlagCase{"serve_guard_ratio", "serve", "--guard 1",
+                          "guard-ratio", "nan", "bad --guard-ratio"},
+        NonFiniteFlagCase{"serve_fault", "serve", "", "fault", "regress:nan",
+                          "not a finite double: nan"},
+        NonFiniteFlagCase{"serve_arrival_severity", "serve",
+                          "--arrival poisson", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"serve_arrival_threshold", "serve",
+                          "--arrival poisson", "threshold", "-inf",
+                          "bad --threshold"},
+        NonFiniteFlagCase{"serve_arrival_guard_ratio", "serve",
+                          "--arrival poisson --guard 1", "guard-ratio", "nan",
+                          "bad --guard-ratio"},
+        NonFiniteFlagCase{"serve_arrival_tenant_drift", "serve",
+                          "--arrival poisson", "tenant-drift", "nan",
+                          "bad --tenant-drift"},
+        NonFiniteFlagCase{"profile_severity", "profile", "--json", "severity",
+                          "nan", "bad --severity"},
+        NonFiniteFlagCase{"trace_severity", "trace", "", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"metrics_severity", "metrics", "", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"slo_objective", "slo", "", "objective", "nan",
+                          "bad --objective"},
+        NonFiniteFlagCase{"why_severity", "why", "", "severity", "nan",
+                          "bad --severity"},
+        NonFiniteFlagCase{"why_threshold", "why", "", "threshold", "nan",
+                          "bad --threshold"}),
+    [](const ::testing::TestParamInfo<NonFiniteFlagCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- observability exports ---------------------------------------------------
 
 TEST(CliTest, TraceExportsValidChromeJson) {

@@ -483,6 +483,9 @@ TEST(StringsTest, ParseUint64) {
 TEST(StringsTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(ParseDouble("2.5").value(), 2.5);
   EXPECT_FALSE(ParseDouble("2.5x").ok());
+  EXPECT_FALSE(ParseDouble("nan").ok());
+  EXPECT_FALSE(ParseDouble("inf").ok());
+  EXPECT_FALSE(ParseDouble("-inf").ok());
 }
 
 TEST(StringsTest, StrFormat) {
