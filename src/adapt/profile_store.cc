@@ -217,15 +217,6 @@ bool SharedProfileStore::TenantQuarantined(const std::string& tenant) const {
   return tenant_quarantine_.count(tenant) != 0;
 }
 
-std::vector<std::string> SharedProfileStore::QuarantinedTenants() const {
-  std::vector<std::string> names;
-  names.reserve(tenant_quarantine_.size());
-  for (const auto& [name, ttl] : tenant_quarantine_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 void SharedProfileStore::Contribute(const profile::LoadProfile& epoch_evidence) {
   if (epoch_evidence.sites().empty()) {
     return;

@@ -16,7 +16,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/profile/profile.h"
@@ -91,8 +90,6 @@ class SharedProfileStore {
   // epochs, matching the guard's fingerprint-poison TTL semantics).
   void QuarantineTenant(const std::string& tenant, uint64_t ttl_epochs);
   bool TenantQuarantined(const std::string& tenant) const;
-  // Names with an active quarantine (stable map order), for reporting.
-  std::vector<std::string> QuarantinedTenants() const;
 
   // Cross-run persistence. The store rides in a ProfileData with an empty
   // block section: block structure belongs to the binary lineage (it is

@@ -6,45 +6,6 @@
 
 namespace yieldhide {
 
-void RunningStats::Add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const uint64_t total = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / static_cast<double>(total);
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          static_cast<double>(total);
-  count_ = total;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStats::Reset() { *this = RunningStats(); }
-
-double RunningStats::variance() const {
-  return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 int LatencyHistogram::BucketIndex(uint64_t value) {
   if (value < kSubBuckets) {
     return static_cast<int>(value);  // exact buckets for small values

@@ -1,5 +1,5 @@
-// Streaming statistics and histograms used by the simulator, the runtime's
-// latency accounting, and the benchmark harnesses.
+// The latency histogram used by the simulator, the runtime's latency
+// accounting, and the benchmark harnesses.
 #ifndef YIELDHIDE_SRC_COMMON_STATS_H_
 #define YIELDHIDE_SRC_COMMON_STATS_H_
 
@@ -9,30 +9,6 @@
 #include <string>
 
 namespace yieldhide {
-
-// Welford-style running mean/variance plus min/max.
-class RunningStats {
- public:
-  void Add(double x);
-  void Merge(const RunningStats& other);
-  void Reset();
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Log-bucketed latency histogram (HDR-style): buckets grow geometrically so
 // the relative error of any recorded value is bounded by 1/kSubBuckets.

@@ -115,26 +115,6 @@ std::string PipelineArtifacts::Summary() const {
   return out;
 }
 
-Result<PipelineArtifacts> BuildInstrumented(
-    const isa::Program& original, sim::Machine& machine,
-    const std::function<void(sim::CpuContext&)>& profile_setup,
-    const PipelineConfig& config) {
-  PipelineArtifacts artifacts;
-
-  machine.ResetMicroarchState();
-  YH_ASSIGN_OR_RETURN(profile::CollectResult collected,
-                      profile::CollectProfile(original, machine, profile_setup,
-                                              config.collector));
-  artifacts.profile = std::move(collected.profile);
-  artifacts.profile_run_cycles = collected.run_cycles;
-  artifacts.profile_run_instructions = collected.run_instructions;
-  artifacts.sampling_overhead_fraction = collected.sampling_overhead_fraction;
-  artifacts.sample_drops = collected.sample_drops;
-
-  YH_RETURN_IF_ERROR(InstrumentWithProfile(original, config, artifacts));
-  return artifacts;
-}
-
 Result<PipelineArtifacts> BuildInstrumentedForWorkload(
     const workloads::SimWorkload& workload, const PipelineConfig& config) {
   sim::Machine machine(config.machine);

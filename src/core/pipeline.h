@@ -84,15 +84,7 @@ struct PipelineArtifacts {
   std::string Summary() const;
 };
 
-// Runs steps (i)+(ii) against an explicit machine + context setup. The
-// machine's data memory must already hold representative inputs; its caches
-// and clock are reset before profiling.
-Result<PipelineArtifacts> BuildInstrumented(
-    const isa::Program& original, sim::Machine& machine,
-    const std::function<void(sim::CpuContext&)>& profile_setup,
-    const PipelineConfig& config);
-
-// Convenience wrapper for SimWorkloads: creates a machine, initializes the
+// Runs steps (i)+(ii) for a SimWorkload: creates a machine, initializes the
 // workload image, profiles tasks [0, config.profile_tasks), and instruments.
 Result<PipelineArtifacts> BuildInstrumentedForWorkload(
     const workloads::SimWorkload& workload, const PipelineConfig& config);

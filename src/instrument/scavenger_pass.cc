@@ -82,7 +82,6 @@ struct IntervalInputs {
   uint32_t l1_latency;
   uint32_t cap;
   const std::set<isa::Addr>* planned;  // may be null
-  std::vector<isa::Addr> roots;
   std::map<isa::Addr, std::vector<isa::Addr>> ret_points;
 };
 
@@ -173,19 +172,6 @@ std::string ScavengerReport::ToString() const {
       "scavenger: cyields=%zu (profile=%zu static=%zu) worst_interval %u -> %u",
       cyields_inserted, profile_guided_insertions, static_insertions,
       worst_interval_before, worst_interval_after);
-}
-
-std::vector<uint32_t> WorstCaseIntervalAt(const isa::Program& program,
-                                          const sim::CostModel& machine_cost,
-                                          uint32_t cap) {
-  IntervalInputs in;
-  in.program = &program;
-  in.cost = &machine_cost;
-  in.l1_latency = 4;
-  in.cap = cap;
-  in.planned = nullptr;
-  in.ret_points = ReturnPointsOf(program);
-  return RunIntervalAnalysis(in);
 }
 
 uint32_t WorstCaseInterval(const isa::Program& program,

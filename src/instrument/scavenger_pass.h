@@ -67,13 +67,6 @@ Result<ScavengerResult> RunScavengerPass(const InstrumentedProgram& input,
                                          const profile::BlockLatencyProfile* block_profile,
                                          const ScavengerConfig& config);
 
-// Forward worst-case interval analysis, exposed for the verifier and tests:
-// result[i] = worst-case cycles accumulated since the last taken yield when
-// reaching instruction i in scavenger mode, saturated at `cap`.
-std::vector<uint32_t> WorstCaseIntervalAt(const isa::Program& program,
-                                          const sim::CostModel& machine_cost,
-                                          uint32_t cap);
-
 // Scalar worst-case inter-yield interval over the whole program (scavenger
 // mode), saturated at `cap`.
 uint32_t WorstCaseInterval(const isa::Program& program,

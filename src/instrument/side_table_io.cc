@@ -84,59 +84,16 @@ Result<std::map<isa::Addr, YieldInfo>> LoadYieldTable(const std::string& path) {
   return DeserializeYieldTable(buffer.str());
 }
 
-std::string SerializeAddrMap(const AddrMap& map) {
-  std::string out = "yh-addr-map v1\n";
-  for (isa::Addr old_addr = 0; old_addr < map.old_size(); ++old_addr) {
-    out += StrFormat("%u %u\n", old_addr, map.Translate(old_addr));
-  }
-  return out;
-}
-
-Result<AddrMap> DeserializeAddrMap(std::string_view text) {
-  auto lines = SplitString(text, '\n');
-  if (lines.empty() || TrimString(lines[0]) != "yh-addr-map v1") {
-    return InvalidArgumentError("bad addr-map header");
-  }
-  std::vector<isa::Addr> forward;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    auto fields = SplitString(TrimString(lines[i]), ' ');
-    if (fields.empty()) {
-      continue;
-    }
-    if (fields.size() != 2) {
-      return InvalidArgumentError(StrFormat("addr-map line %zu malformed", i));
-    }
-    YH_ASSIGN_OR_RETURN(const uint64_t old_addr, ParseUint64(fields[0]));
-    YH_ASSIGN_OR_RETURN(const uint64_t new_addr, ParseUint64(fields[1]));
-    if (old_addr != forward.size()) {
-      return InvalidArgumentError(
-          StrFormat("addr-map line %zu: expected old address %zu", i, forward.size()));
-    }
-    if (new_addr >= isa::kInvalidAddr) {
-      return OutOfRangeError(StrFormat("addr-map line %zu: address out of range", i));
-    }
-    forward.push_back(static_cast<isa::Addr>(new_addr));
-  }
-  return AddrMap(std::move(forward));
-}
-
 Status SaveAddrMap(const AddrMap& map, const std::string& path) {
   std::ofstream file(path, std::ios::trunc);
   if (!file) {
     return UnavailableError("cannot open " + path + " for writing");
   }
-  file << SerializeAddrMap(map);
-  return file.good() ? Status::Ok() : InternalError("write to " + path + " failed");
-}
-
-Result<AddrMap> LoadAddrMap(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return NotFoundError("cannot open " + path);
+  file << "yh-addr-map v1\n";
+  for (isa::Addr old_addr = 0; old_addr < map.old_size(); ++old_addr) {
+    file << StrFormat("%u %u\n", old_addr, map.Translate(old_addr));
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return DeserializeAddrMap(buffer.str());
+  return file.good() ? Status::Ok() : InternalError("write to " + path + " failed");
 }
 
 }  // namespace yieldhide::instrument

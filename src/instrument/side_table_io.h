@@ -19,14 +19,10 @@ Status SaveYieldTable(const std::map<isa::Addr, YieldInfo>& yields,
                       const std::string& path);
 Result<std::map<isa::Addr, YieldInfo>> LoadYieldTable(const std::string& path);
 
-// Address-map export: the original→instrumented forward table, stored by the
-// CLI as a ".map" sidecar. Online adaptation (src/adapt) loads it to back-map
-// live PMU samples from the instrumented binary onto original-binary sites.
-std::string SerializeAddrMap(const AddrMap& map);
-Result<AddrMap> DeserializeAddrMap(std::string_view text);
-
+// Address-map export: the original→instrumented forward table, one "old new"
+// pair per line, stored by the CLI as a ".map" sidecar. It is write-only here:
+// online adaptation (src/adapt) back-maps through the in-memory AddrMap.
 Status SaveAddrMap(const AddrMap& map, const std::string& path);
-Result<AddrMap> LoadAddrMap(const std::string& path);
 
 }  // namespace yieldhide::instrument
 

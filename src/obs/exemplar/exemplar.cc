@@ -192,63 +192,4 @@ std::string ToPerfettoExemplarJson(
   return out;
 }
 
-std::string ToExemplarJson(
-    const std::vector<const ExemplarReservoir*>& shards) {
-  std::string out = "{\"exemplars\": [\n";
-  bool first = true;
-  size_t shard_id = 0;
-  for (const ExemplarReservoir* shard : shards) {
-    for (const Exemplar& e : shard->Merged()) {
-      if (!first) {
-        out += ",\n";
-      }
-      first = false;
-      // Tenant rides on the span; tenant-blind runs leave it empty and the
-      // export stays byte-identical to the pre-tenant format.
-      const std::string tenant_field =
-          e.span.tenant.empty()
-              ? std::string()
-              : StrFormat("\"tenant\": \"%s\", ", e.span.tenant.c_str());
-      out += StrFormat(
-          "  {\"id\": %llu, \"shard\": %zu, %s\"window\": %llu, "
-          "\"latency\": %llu, \"generation\": %d, \"epoch\": %llu, "
-          "\"quarantined\": %s, \"control_window\": %s, \"classes\": {",
-          static_cast<unsigned long long>(e.span.id), shard_id,
-          tenant_field.c_str(), static_cast<unsigned long long>(e.window),
-          static_cast<unsigned long long>(e.span.latency()),
-          e.context.generation_id,
-          static_cast<unsigned long long>(e.context.epoch),
-          e.context.quarantined ? "true" : "false",
-          e.context.control_window ? "true" : "false");
-      bool first_class = true;
-      for (size_t i = 0; i < kNumSpanClasses; ++i) {
-        if (e.span.classes[i] == 0) {
-          continue;
-        }
-        if (!first_class) {
-          out += ", ";
-        }
-        first_class = false;
-        out += StrFormat("\"%s\": %llu",
-                         SpanClassName(static_cast<SpanClass>(i)),
-                         static_cast<unsigned long long>(e.span.classes[i]));
-      }
-      out += "}}";
-    }
-    ++shard_id;
-  }
-  uint64_t offered = 0, accepted = 0, rejected = 0;
-  for (const ExemplarReservoir* shard : shards) {
-    offered += shard->offered();
-    accepted += shard->accepted();
-    rejected += shard->rejected();
-  }
-  out += StrFormat(
-      "\n], \"offered\": %llu, \"accepted\": %llu, \"rejected\": %llu}\n",
-      static_cast<unsigned long long>(offered),
-      static_cast<unsigned long long>(accepted),
-      static_cast<unsigned long long>(rejected));
-  return out;
-}
-
 }  // namespace yieldhide::obs

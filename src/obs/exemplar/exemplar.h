@@ -159,9 +159,6 @@ class ExemplarReservoir {
 std::string ToPerfettoExemplarJson(
     const std::vector<const ExemplarReservoir*>& shards, double cycles_per_ns);
 
-// Machine-readable dump of every retained exemplar with its context.
-std::string ToExemplarJson(const std::vector<const ExemplarReservoir*>& shards);
-
 }  // namespace yieldhide::obs
 
 #endif  // YIELDHIDE_SRC_OBS_EXEMPLAR_EXEMPLAR_H_

@@ -7,10 +7,9 @@
 // site was responsible for keeping the vector sorted so equal label sets
 // compare equal. Adding a new dimension (tenant=) meant finding and editing
 // every one of those sites. LabelSet centralizes the convention: named
-// setters for the canonical dimensions (shard, tenant, generation, stage,
-// event), an escape hatch for ad-hoc keys, and a Build() that emits the
-// sorted, de-duplicated obs::Labels every registry consumer expects. One
-// seam, N dimensions.
+// setters for the canonical dimensions (shard, tenant, stage) and a Build()
+// that emits the sorted, de-duplicated obs::Labels every registry consumer
+// expects. One seam, N dimensions.
 #ifndef YIELDHIDE_SRC_OBS_LABELS_H_
 #define YIELDHIDE_SRC_OBS_LABELS_H_
 
@@ -33,13 +32,18 @@ class LabelSet {
   // key, so a builder can be reused down a call chain.
   LabelSet& Shard(size_t id) { return Add("shard", std::to_string(id)); }
   LabelSet& Tenant(const std::string& name) { return Add("tenant", name); }
-  LabelSet& Generation(int id) {
-    return Add("generation", std::to_string(id));
-  }
   LabelSet& Stage(const std::string& stage) { return Add("stage", stage); }
-  LabelSet& Event(const std::string& event) { return Add("event", event); }
 
-  // Ad-hoc dimension; last write wins per key.
+  // The canonical form: sorted by key, so equal label sets compare equal
+  // regardless of the order the dimensions were added in.
+  Labels Build() const {
+    Labels out = labels_;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  // Last write wins per key.
   LabelSet& Add(const std::string& key, std::string value) {
     for (auto& [k, v] : labels_) {
       if (k == key) {
@@ -51,17 +55,6 @@ class LabelSet {
     return *this;
   }
 
-  bool empty() const { return labels_.empty(); }
-
-  // The canonical form: sorted by key, so equal label sets compare equal
-  // regardless of the order the dimensions were added in.
-  Labels Build() const {
-    Labels out = labels_;
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
   Labels labels_;
 };
 

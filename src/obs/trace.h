@@ -2,11 +2,8 @@
 // typed events stamped in simulated cycles (docs/OBSERVABILITY.md).
 //
 // The recorder is built for always-on production use:
-//   * a compile-time category mask (YIELDHIDE_TRACE_MASK) lets a build strip
-//     whole categories — the YH_TRACE_ENABLED macro folds to `false` and the
-//     recording branch disappears;
-//   * a runtime mask + level check bounds the cost when compiled in but
-//     disabled (one load, one test, no call);
+//   * a runtime category mask bounds the cost of a disabled category (the
+//     YH_TRACE_ENABLED macro: a null check, one load, one test, no call);
 //   * the ring is fixed-capacity and overwrites the oldest event, so an
 //     always-on recorder holds the last N events of any incident without
 //     unbounded memory — the classic flight-recorder contract. The
@@ -57,12 +54,6 @@ const char* TraceCategoryName(TraceCategory category);
 // (samples arrive at the sampling period, not at yield granularity).
 inline constexpr uint32_t kDefaultTraceMask =
     kTraceAllCategories & ~kTracePmu;
-
-// Compile-time category mask: a build can strip categories entirely with
-// -DYIELDHIDE_TRACE_MASK=<bits>. Defaults to everything compiled in.
-#ifndef YIELDHIDE_TRACE_MASK
-#define YIELDHIDE_TRACE_MASK ::yieldhide::obs::kTraceAllCategories
-#endif
 
 enum class TraceEventType : uint8_t {
   kCoroSwitch,       // control transferred between contexts; arg = cost cycles
@@ -196,12 +187,9 @@ class TraceRecorder {
   size_t flush_threshold_ = 0;
 };
 
-// Hot-path gate: the compile-time mask folds the whole expression to `false`
-// for stripped categories (the branch and the Record call disappear), and for
-// compiled-in categories it costs a null check plus one masked load.
-#define YH_TRACE_ENABLED(recorder, category)                        \
-  ((((category) & (YIELDHIDE_TRACE_MASK)) != 0u) &&                 \
-   (recorder) != nullptr && (recorder)->ShouldRecord(category))
+// Hot-path gate: a null check plus one masked load.
+#define YH_TRACE_ENABLED(recorder, category) \
+  ((recorder) != nullptr && (recorder)->ShouldRecord(category))
 
 // Renders the recorder's events as Chrome trace-event JSON ("JSON object
 // format": {"traceEvents": [...]}), loadable in Perfetto / chrome://tracing.

@@ -3,7 +3,8 @@
 // needs — counting (cycles, instructions, cache misses) and IP sampling —
 // with explicit availability probing: containers and locked-down kernels
 // commonly deny perf_event_open, in which case every entry point returns
-// UNAVAILABLE and callers fall back to the simulated plane.
+// UNAVAILABLE. No pipeline calls it yet; every profile comes from the
+// simulated PMU.
 #ifndef YIELDHIDE_SRC_PERFEV_PERFEV_H_
 #define YIELDHIDE_SRC_PERFEV_PERFEV_H_
 

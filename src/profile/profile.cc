@@ -40,7 +40,7 @@ void LoadProfile::AddSamples(const std::vector<pmu::PebsSample>& samples,
       case pmu::HwEvent::kLoadsL2Miss:
         site.est_l2_misses += static_cast<double>(periods.l2_miss);
         // An L2 miss is by definition also an L1 miss; when the L1 event is
-        // not sampled separately, fold it in so L1MissProbability stays sane.
+        // not sampled separately, fold it in so est_l1_misses >= est_l2_misses.
         if (periods.l1_miss == 0) {
           site.est_l1_misses += static_cast<double>(periods.l2_miss);
         }

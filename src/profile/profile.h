@@ -36,12 +36,6 @@ struct SiteProfile {
   double L2MissProbability() const {
     return est_executions <= 0 ? 0.0 : est_l2_misses / est_executions;
   }
-  double L1MissProbability() const {
-    return est_executions <= 0 ? 0.0 : est_l1_misses / est_executions;
-  }
-  double L3MissProbability() const {
-    return est_executions <= 0 ? 0.0 : est_l3_misses / est_executions;
-  }
   // Estimated stall cycles per execution.
   double StallPerExecution() const {
     return est_executions <= 0 ? 0.0 : est_stall_cycles / est_executions;

@@ -121,11 +121,6 @@ ShardFrontEnd::ShardFrontEnd(const FrontEndConfig& config, Handler handler,
   }
 }
 
-void ShardFrontEnd::SetPipelines(StagePipeline ingress, StagePipeline egress) {
-  ingress_ = std::move(ingress);
-  egress_ = std::move(egress);
-}
-
 void ShardFrontEnd::SetTenantHandler(size_t tenant, Handler handler) {
   if (tenant < tenants_.size()) {
     tenants_[tenant].handler = std::move(handler);
@@ -293,7 +288,7 @@ void ShardFrontEnd::Harvest(sim::Machine& machine,
   });
   for (const Done& item : done) {
     const uint64_t egress_begin = machine.now();
-    egress_.Charge(machine, item.request.id);
+    egress_.Charge(machine);
     if (spans_ != nullptr) {
       spans_->OnHarvest(item.request.id, egress_begin, machine.now());
     }
@@ -338,7 +333,7 @@ void ShardFrontEnd::AdmitDue(sim::Machine& machine) {
     } else {
       // The event loop reads and parses the connection before queuing it.
       const uint64_t ingress_begin = machine.now();
-      ingress_.Charge(machine, request.id);
+      ingress_.Charge(machine);
       ++counters_.admitted;
       ++tenant.counters.admitted;
       tenant.queue.push_back(request);

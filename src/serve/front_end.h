@@ -166,10 +166,6 @@ class ShardFrontEnd : public adapt::RequestSource {
   // ServerGroup::SetScavengerFactory.
   runtime::DualModeScheduler::ScavengerFactory MakeScavengerFactory();
 
-  // Replace the modeled protocol (defaults: StagePipeline::DefaultIngress /
-  // DefaultEgress). Call before serving starts.
-  void SetPipelines(StagePipeline ingress, StagePipeline egress);
-
   // Per-tenant handler override (e.g. the Q1 antagonist runs a drifting
   // workload while the victim's stays stable). Tenants without an override
   // use the shared handler. Call before serving starts.
@@ -189,8 +185,6 @@ class ShardFrontEnd : public adapt::RequestSource {
 
   // Counters + latency histograms; in_flight is computed at call time.
   FrontEndReport report() const;
-  const StagePipeline& ingress() const { return ingress_; }
-  const StagePipeline& egress() const { return egress_; }
   const std::vector<TenantSpec>& tenants() const { return specs_; }
   // First scheduler error observed (serving stops on it); Ok() in practice.
   const Status& status() const { return status_; }

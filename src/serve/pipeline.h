@@ -1,23 +1,19 @@
 // StagePipeline: the modeled connection-processing path (docs/SERVING.md).
 //
 // Modeled on beng-proxy's request path: a request traverses a sequence of
-// composable stages — accept -> buffered-read -> parse -> [handle] ->
-// respond — where every stage except handle is event-loop work with a
-// modeled per-stage cycle cost charged on the serving core, and HANDLE is
-// the application: it dispatches onto the shard's primary coroutine group
-// and runs under the instrumented dual-mode scheduler.
+// stages — accept -> buffered-read -> parse -> [handle] -> respond — where
+// every stage except handle is event-loop work with a fixed modeled cycle
+// cost charged on the serving core, and HANDLE is the application: it
+// dispatches onto the shard's primary coroutine group and runs under the
+// instrumented dual-mode scheduler.
 //
-// Stages are plain {name, cost-fn} filters so a new protocol drops in by
-// composing a different stage list; costs are deterministic functions of the
-// request id (a fixed header parse, a size-dependent read, ...). The front
-// end charges the INGRESS stages at admission (the event loop reads and
-// parses a connection before it can queue the request for handling) and the
-// EGRESS stages when the handled request's response is written back.
+// The front end charges the INGRESS stages at admission (the event loop reads
+// and parses a connection before it can queue the request for handling) and
+// the EGRESS stages when the handled request's response is written back.
 #ifndef YIELDHIDE_SRC_SERVE_PIPELINE_H_
 #define YIELDHIDE_SRC_SERVE_PIPELINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -29,41 +25,31 @@ namespace yieldhide::serve {
 
 struct Stage {
   std::string name;
-  // Cycles this stage costs for a given request (deterministic).
-  std::function<uint64_t(uint64_t request_id)> cost;
+  uint64_t cycles = 0;
 };
 
 class StagePipeline {
  public:
   StagePipeline() = default;
 
-  // Appends a fixed-cost stage (the common case) or a custom filter.
-  StagePipeline& Append(std::string name, uint64_t fixed_cycles) {
-    stages_.push_back(Stage{
-        std::move(name),
-        [fixed_cycles](uint64_t) { return fixed_cycles; }});
-    return *this;
-  }
-  StagePipeline& Append(Stage stage) {
-    stages_.push_back(std::move(stage));
+  StagePipeline& Append(std::string name, uint64_t cycles) {
+    stages_.push_back(Stage{std::move(name), cycles});
     return *this;
   }
 
-  // Charges every stage for `request_id` to the machine clock, in order.
-  // Returns the total cycles charged; per-stage totals accumulate in
-  // stage_cycles() for the yh_serve_stage_cycles_total{stage=...} metrics.
-  uint64_t Charge(sim::Machine& machine, uint64_t request_id) {
+  // Charges every stage to the machine clock, in order. Returns the total
+  // cycles charged; per-stage totals accumulate in stage_cycles() for the
+  // yh_serve_stage_cycles_total{stage=...} metrics.
+  uint64_t Charge(sim::Machine& machine) {
     uint64_t total = 0;
     for (const Stage& stage : stages_) {
-      const uint64_t cycles = stage.cost ? stage.cost(request_id) : 0;
-      machine.AdvanceClock(cycles);
-      stage_cycles_[stage.name] += cycles;
-      total += cycles;
+      machine.AdvanceClock(stage.cycles);
+      stage_cycles_[stage.name] += stage.cycles;
+      total += stage.cycles;
     }
     return total;
   }
 
-  const std::vector<Stage>& stages() const { return stages_; }
   const std::map<std::string, uint64_t>& stage_cycles() const {
     return stage_cycles_;
   }

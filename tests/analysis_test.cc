@@ -2,9 +2,7 @@
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/dependence.h"
-#include "src/analysis/dominators.h"
 #include "src/analysis/liveness.h"
-#include "src/analysis/yield_distance.h"
 #include "src/isa/assembler.h"
 
 namespace yieldhide::analysis {
@@ -108,94 +106,6 @@ TEST(CfgTest, ToDotMentionsBlocks) {
   auto cfg = ControlFlowGraph::Build(program);
   ASSERT_TRUE(cfg.ok());
   EXPECT_NE(cfg->ToDot().find("digraph"), std::string::npos);
-}
-
-// --- Dominators & loops ----------------------------------------------------------
-
-TEST(DominatorsTest, DiamondJoinDominatedByHead) {
-  auto program = Asm(R"(
-      beq r1, r0, right
-      nop
-      jmp join
-    right:
-      nop
-    join:
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dom = DominatorTree::Build(cfg);
-  const BlockId head = cfg.BlockOf(0);
-  const BlockId left = cfg.BlockOf(1);
-  const BlockId right = cfg.BlockOf(3);
-  const BlockId join = cfg.BlockOf(4);
-  EXPECT_TRUE(dom.Dominates(head, join));
-  EXPECT_FALSE(dom.Dominates(left, join));
-  EXPECT_FALSE(dom.Dominates(right, join));
-  EXPECT_EQ(dom.Idom(join), head);
-  EXPECT_TRUE(dom.Dominates(head, head));
-}
-
-TEST(DominatorsTest, LoopHeaderDominatesBody) {
-  auto program = Asm(R"(
-      movi r1, 3
-    header:
-      addi r1, r1, -1
-      beq r1, r0, out
-      jmp header
-    out:
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dom = DominatorTree::Build(cfg);
-  const BlockId header = cfg.BlockOf(1);
-  const BlockId latch = cfg.BlockOf(3);
-  EXPECT_TRUE(dom.Dominates(header, latch));
-
-  auto loops = FindNaturalLoops(cfg, dom);
-  ASSERT_EQ(loops.size(), 1u);
-  EXPECT_EQ(loops[0].header, header);
-  EXPECT_TRUE(loops[0].Contains(latch));
-  EXPECT_FALSE(loops[0].Contains(cfg.BlockOf(4)));
-}
-
-TEST(DominatorsTest, SelfLoop) {
-  auto program = Asm("self: bne r1, r0, self\nhalt\n");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dom = DominatorTree::Build(cfg);
-  auto loops = FindNaturalLoops(cfg, dom);
-  ASSERT_EQ(loops.size(), 1u);
-  EXPECT_EQ(loops[0].body.size(), 1u);
-}
-
-TEST(DominatorsTest, NestedLoops) {
-  auto program = Asm(R"(
-      movi r1, 3
-    outer:
-      movi r2, 3
-    inner:
-      addi r2, r2, -1
-      bne r2, r0, inner
-      addi r1, r1, -1
-      bne r1, r0, outer
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dom = DominatorTree::Build(cfg);
-  auto loops = FindNaturalLoops(cfg, dom);
-  EXPECT_EQ(loops.size(), 2u);
-}
-
-TEST(DominatorsTest, UnreachableBlockNotReachable) {
-  auto program = Asm(R"(
-      jmp end
-      nop         ; unreachable
-    end:
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dom = DominatorTree::Build(cfg);
-  EXPECT_FALSE(dom.Reachable(cfg.BlockOf(1)));
-  EXPECT_TRUE(dom.Reachable(cfg.BlockOf(2)));
 }
 
 // --- Liveness --------------------------------------------------------------------
@@ -345,99 +255,6 @@ TEST(DependenceTest, IndexedLoadDependsOnIndexRegister) {
   auto cfg = ControlFlowGraph::Build(program).value();
   auto groups = FindCoalescibleGroups(cfg, {0, 1});
   ASSERT_EQ(groups.size(), 2u);
-}
-
-// --- Yield distance ----------------------------------------------------------------
-
-YieldDistanceConfig UnitCost(uint32_t cap) {
-  YieldDistanceConfig config;
-  config.cap = cap;
-  config.cost = [](isa::Addr) { return 1u; };
-  return config;
-}
-
-TEST(YieldDistanceTest, StraightLineCountsToYield) {
-  auto program = Asm("nop\nnop\nnop\nyield\nhalt\n");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dist = MaxDistanceToNextYield(cfg, UnitCost(100));
-  EXPECT_EQ(dist[3], 0u);  // the yield itself
-  EXPECT_EQ(dist[2], 1u);
-  EXPECT_EQ(dist[0], 3u);
-}
-
-TEST(YieldDistanceTest, YieldFreeLoopSaturates) {
-  auto program = Asm(R"(
-    loop:
-      addi r1, r1, -1
-      bne r1, r0, loop
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dist = MaxDistanceToNextYield(cfg, UnitCost(50));
-  EXPECT_EQ(dist[0], 50u);  // saturated: unbounded path exists
-}
-
-TEST(YieldDistanceTest, LoopWithYieldIsBounded) {
-  auto program = Asm(R"(
-    loop:
-      yield
-      addi r1, r1, -1
-      bne r1, r0, loop
-      halt
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dist = MaxDistanceToNextYield(cfg, UnitCost(50));
-  EXPECT_LT(dist[1], 50u);
-  EXPECT_EQ(dist[0], 0u);
-}
-
-TEST(YieldDistanceTest, BranchTakesWorstPath) {
-  auto program = Asm(R"(
-      beq r1, r0, quick   ; 0
-      nop                 ; 1
-      nop                 ; 2
-      nop                 ; 3
-      yield               ; 4
-      halt                ; 5
-    quick:
-      yield               ; 6
-      halt                ; 7
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dist = MaxDistanceToNextYield(cfg, UnitCost(100));
-  // Worst case from 0: fall through 3 nops then yield = 4.
-  EXPECT_EQ(dist[0], 4u);
-}
-
-TEST(YieldDistanceTest, CyieldCountsOnlyInScavengerMode) {
-  auto program = Asm("nop\ncyield\nnop\nhalt\n");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto with = MaxDistanceToNextYield(cfg, UnitCost(100));
-  EXPECT_EQ(with[0], 1u);  // cyield counts as a reset
-  YieldDistanceConfig off = UnitCost(100);
-  off.cyield_counts = false;
-  auto without = MaxDistanceToNextYield(cfg, off);
-  EXPECT_GT(without[0], 1u);  // runs through to the halt
-}
-
-TEST(YieldDistanceTest, CallDescendsIntoCallee) {
-  auto program = Asm(R"(
-    .entry main
-    leaf:
-      nop       ; 0
-      nop       ; 1
-      ret       ; 2
-    main:
-      call leaf ; 3
-      yield     ; 4
-      halt      ; 5
-  )");
-  auto cfg = ControlFlowGraph::Build(program).value();
-  auto dist = MaxDistanceToNextYield(cfg, UnitCost(100));
-  // From main: call(1) + leaf(2 nops + ret = 3) + back at yield = 4 total.
-  EXPECT_EQ(dist[3], 4u);
-  // Inside the leaf, the distance continues through the return point.
-  EXPECT_EQ(dist[0], 3u);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -163,62 +162,6 @@ TEST(RngTest, NextInRangeInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
-// --- RunningStats --------------------------------------------------------------
-
-TEST(RunningStatsTest, MatchesNaiveComputation) {
-  Rng rng(17);
-  std::vector<double> values;
-  RunningStats stats;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.NextDouble() * 100.0;
-    values.push_back(v);
-    stats.Add(v);
-  }
-  double mean = 0;
-  for (double v : values) {
-    mean += v;
-  }
-  mean /= values.size();
-  double var = 0;
-  for (double v : values) {
-    var += (v - mean) * (v - mean);
-  }
-  var /= values.size();
-  EXPECT_NEAR(stats.mean(), mean, 1e-9);
-  EXPECT_NEAR(stats.variance(), var, 1e-6);
-  EXPECT_EQ(stats.min(), *std::min_element(values.begin(), values.end()));
-  EXPECT_EQ(stats.max(), *std::max_element(values.begin(), values.end()));
-}
-
-TEST(RunningStatsTest, MergeEqualsSingleStream) {
-  Rng rng(19);
-  RunningStats all, a, b;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.NextDouble();
-    all.Add(v);
-    (i % 2 == 0 ? a : b).Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MergeIntoEmpty) {
-  RunningStats a, b;
-  b.Add(5.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.mean(), 5.0);
-}
-
 // --- LatencyHistogram ----------------------------------------------------------
 
 TEST(LatencyHistogramTest, ExactForSmallValues) {
@@ -284,17 +227,6 @@ TEST(LatencyHistogramTest, ResetClears) {
   hist.Reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.ValueAtQuantile(0.5), 0u);
-}
-
-TEST(RunningStatsTest, MergeEmptyIntoFullKeepsValues) {
-  RunningStats full, empty;
-  full.Add(2.0);
-  full.Add(4.0);
-  full.Merge(empty);
-  EXPECT_EQ(full.count(), 2u);
-  EXPECT_DOUBLE_EQ(full.mean(), 3.0);
-  EXPECT_EQ(full.min(), 2.0);
-  EXPECT_EQ(full.max(), 4.0);
 }
 
 TEST(LatencyHistogramTest, MergeAcrossDisjointMagnitudes) {
@@ -504,42 +436,6 @@ TEST(StringsTest, WithCommas) {
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_FALSE(StartsWith("fo", "foo"));
-}
-
-// --- Arena ---------------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDistinct) {
-  Arena arena(256);
-  void* a = arena.Allocate(100, 16);
-  void* b = arena.Allocate(100, 16);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 16, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 16, 0u);
-}
-
-TEST(ArenaTest, GrowsBeyondBlockSize) {
-  Arena arena(64);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_NE(arena.Allocate(48), nullptr);
-  }
-  EXPECT_GT(arena.block_count(), 1u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsOwnBlock) {
-  Arena arena(64);
-  void* big = arena.Allocate(1024);
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(arena.total_allocated(), 1024u);
-}
-
-TEST(ArenaTest, NewConstructs) {
-  Arena arena;
-  struct Point {
-    int x, y;
-  };
-  Point* p = arena.New<Point>(3, 4);
-  EXPECT_EQ(p->x, 3);
-  EXPECT_EQ(p->y, 4);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "src/coro/generator.h"
 #include "src/coro/interleave.h"
 #include "src/coro/native_workloads.h"
 #include "src/coro/task.h"
@@ -48,21 +47,6 @@ TEST(TaskTest, MoveTransfersOwnership) {
     b.Resume();
   }
   EXPECT_EQ(b.result(), 1);
-}
-
-Generator<int> Evens(int count) {
-  for (int i = 0; i < count; ++i) {
-    co_yield i * 2;
-  }
-}
-
-TEST(GeneratorTest, ProducesSequence) {
-  Generator<int> gen = Evens(5);
-  std::vector<int> values;
-  while (gen.Next()) {
-    values.push_back(gen.value());
-  }
-  EXPECT_EQ(values, (std::vector<int>{0, 2, 4, 6, 8}));
 }
 
 TEST(InterleaveTest, AllTasksComplete) {

@@ -217,20 +217,6 @@ TEST(ExemplarReservoirTest, OverheadIsPerAcceptedInsertionAndDrainsOnce) {
   EXPECT_EQ(reservoir.TakeUnchargedOverheadCycles(), 0u);
 }
 
-TEST(ExemplarExportTest, JsonCarriesContextAndCounters) {
-  ExemplarReservoir reservoir;
-  reservoir.SetContext(1, 4, false);
-  reservoir.Offer(MakeSpan(42, 260));
-  const std::vector<const ExemplarReservoir*> shards = {&reservoir};
-  const std::string json = ToExemplarJson(shards);
-  EXPECT_TRUE(ValidateJson(json).ok()) << ValidateJson(json).ToString();
-  EXPECT_NE(json.find("\"id\": 42"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"latency\": 260"), std::string::npos);
-  EXPECT_NE(json.find("\"generation\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"epoch\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"offered\": 1"), std::string::npos);
-}
-
 TEST(ExemplarExportTest, PerfettoLaysClassesEndToEndWithNoGap) {
   ExemplarReservoir reservoir;
   RequestSpan span = MakeSpan(7, 100, /*complete=*/300);

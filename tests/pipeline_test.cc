@@ -255,16 +255,5 @@ TEST(PipelineTest, SummaryMentionsAllStages) {
   EXPECT_NE(summary.find("scavenger:"), std::string::npos);
 }
 
-TEST(PipelineTest, ExplicitMachineEntryPoint) {
-  auto workload = SmallChase();
-  sim::Machine machine(sim::MachineConfig::SmallTest());
-  workload.InitMemory(machine.memory());
-  auto config = SmallPipeline();
-  auto artifacts = BuildInstrumented(workload.program(), machine,
-                                     workload.SetupFor(0), config);
-  ASSERT_TRUE(artifacts.ok()) << artifacts.status();
-  EXPECT_EQ(artifacts->primary_report.instrumented_loads.size(), 1u);
-}
-
 }  // namespace
 }  // namespace yieldhide::core

@@ -134,10 +134,10 @@ TEST(StagePipelineTest, ChargesEveryStageAndAccumulatesTotals) {
   sim::Machine machine(sim::MachineConfig::SmallTest());
   StagePipeline pipeline = StagePipeline::DefaultIngress();
   const uint64_t before = machine.now();
-  const uint64_t charged = pipeline.Charge(machine, /*request_id=*/0);
+  const uint64_t charged = pipeline.Charge(machine);
   EXPECT_EQ(charged, 60u + 140u + 90u);
   EXPECT_EQ(machine.now() - before, charged);
-  pipeline.Charge(machine, 1);
+  pipeline.Charge(machine);
   EXPECT_EQ(pipeline.stage_cycles().at("parse"), 180u);
 }
 
