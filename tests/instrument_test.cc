@@ -593,6 +593,102 @@ TEST(ScavengerPassTest, WorstCaseIntervalMatchesHandComputation) {
   EXPECT_EQ(WorstCaseInterval(program, cost, 1000), 2u);
 }
 
+// Pairwise-distinct costs, so each expected interval below names exactly the
+// instructions it sums.
+sim::CostModel DistinctCosts() {
+  sim::CostModel cost;
+  cost.alu_cycles = 2;
+  cost.branch_cycles = 3;
+  cost.call_ret_cycles = 5;
+  cost.mul_cycles = 7;
+  return cost;
+}
+
+TEST(ScavengerPassTest, WorstCaseIntervalFollowsCallAndReturn) {
+  auto program = Asm(R"(
+    .entry main
+    leaf:
+      nop        ; 0
+      nop        ; 1
+      ret        ; 2
+    main:
+      call leaf  ; 3
+      nop        ; 4 (return point)
+      yield      ; 5
+      halt       ; 6
+  )");
+  const sim::CostModel cost = DistinctCosts();
+  // call + two nops + ret, then the nop at the return point.
+  EXPECT_EQ(WorstCaseInterval(program, cost, 1000),
+            2 * cost.call_ret_cycles + 3 * cost.alu_cycles);
+}
+
+TEST(ScavengerPassTest, WorstCaseIntervalReturnsToEveryCallSite) {
+  auto program = Asm(R"(
+    .entry main
+    leaf:
+      ret        ; 0
+    main:
+      nop        ; 1
+      nop        ; 2
+      call leaf  ; 3
+      yield      ; 4
+      call leaf  ; 5
+      nop        ; 6
+      nop        ; 7
+      nop        ; 8
+      yield      ; 9
+      halt       ; 10
+  )");
+  const sim::CostModel cost = DistinctCosts();
+  // The RET returns to every return point, so the two nops before the first
+  // call reach the three nops after the second: 5 nops + call + ret.
+  EXPECT_EQ(WorstCaseInterval(program, cost, 1000),
+            5 * cost.alu_cycles + 2 * cost.call_ret_cycles);
+}
+
+TEST(ScavengerPassTest, WorstCaseIntervalTakesTheWorseArm) {
+  auto program = Asm(R"(
+      beq r1, r0, slow   ; 0
+      nop                ; 1
+      yield              ; 2
+      halt               ; 3
+    slow:
+      mul r2, r2, r2     ; 4
+      nop                ; 5
+      yield              ; 6
+      halt               ; 7
+  )");
+  const sim::CostModel cost = DistinctCosts();
+  EXPECT_EQ(WorstCaseInterval(program, cost, 1000),
+            cost.branch_cycles + cost.mul_cycles + cost.alu_cycles);
+}
+
+TEST(ScavengerPassTest, WorstCaseIntervalOfYieldFreeLoopSaturatesAtCap) {
+  auto program = Asm(R"(
+    loop:
+      addi r1, r1, -1
+      bne r1, r0, loop
+      halt
+  )");
+  EXPECT_EQ(WorstCaseInterval(program, DistinctCosts(), 500), 500u);
+}
+
+TEST(ScavengerPassTest, WorstCaseIntervalResetsAtCyield) {
+  auto program = Asm(R"(
+    loop:
+      nop                ; 0
+      nop                ; 1
+      cyield             ; 2
+      bne r1, r0, loop   ; 3
+      halt               ; 4
+  )");
+  const sim::CostModel cost = DistinctCosts();
+  // Bounded despite the loop: the back edge carries only the branch.
+  EXPECT_EQ(WorstCaseInterval(program, cost, 1000),
+            cost.branch_cycles + 2 * cost.alu_cycles);
+}
+
 // --- Verifier ---------------------------------------------------------------------
 
 TEST(VerifierTest, AcceptsPipelineOutput) {
