@@ -99,13 +99,10 @@ Result<adapt::AdaptReport> RunServer(const workloads::PhasedChase& chase,
   sim::Machine machine(machine_config);
   chase.InitMemory(machine.memory());
   adapt::ServerGroupConfig config;
-  config.shard.controller.pipeline = rebuild_pipeline;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
+  config.shard = ShardConfig(rebuild_pipeline, kTasksPerEpoch);
   config.shard.adapt_enabled = adapting;
   config.shard.scale_pool = adapting;
   config.shard.charge_sampling_overhead = adapting;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
   adapt::ServerGroup server(&chase.program(), artifacts, {&machine}, config);
   server.SetScavengerBinary(0, &batch);  // unrelated batch job: never swapped
   server.SetScavengerFactory(0, BatchFactory());

@@ -29,13 +29,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/adapt/server_group.h"
-#include "src/runtime/annotate.h"
-#include "src/runtime/dual_mode.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -48,33 +45,6 @@ constexpr uint64_t kChaseSteps = 400;
 constexpr double kRecoveryFloor = 0.90;  // the A1 bar, per shard
 constexpr double kAppearanceCeiling = 0.05;
 
-adapt::AdaptiveServerConfig ShardConfig(const core::PipelineConfig& pipeline) {
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  return config;
-}
-
-// Uninstrumented original, primary alone: the efficiency floor every
-// recovery fraction is measured from.
-Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
-                                  const sim::MachineConfig& machine_config) {
-  sim::Machine machine(machine_config);
-  chase.InitMemory(machine.memory());
-  const auto binary =
-      runtime::AnnotateManualYields(chase.program(), machine_config.cost);
-  runtime::DualModeConfig dm;
-  dm.hide_window_cycles = 300;
-  runtime::DualModeScheduler sched(&binary, &binary, &machine, dm);
-  for (int i = 0; i < kRequestsPerShard; ++i) {
-    sched.AddPrimaryTask(chase.SetupFor(i));
-  }
-  YH_ASSIGN_OR_RETURN(const runtime::DualModeReport report, sched.Run());
-  return report.CpuEfficiency();
-}
-
 // One single-shard ServerGroup run over task indices [first, first+n):
 // the independent-profiles baseline the shared store must beat, and the
 // fresh-profile oracle runner.
@@ -86,7 +56,7 @@ Result<adapt::AdaptReport> RunIndependent(
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
   adapt::ServerGroupConfig config;
-  config.shard = ShardConfig(pipeline);
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.shard.adapt_enabled = adapting;
   config.shard.scale_pool = adapting;
   adapt::ServerGroup server(&chase.program(), artifacts, {&machine}, config);
@@ -120,7 +90,7 @@ Result<GroupOutcome> RunGroup(const workloads::PhasedChase& chase,
   }
   adapt::ServerGroupConfig config;
   config.shards = shards;
-  config.shard = ShardConfig(pipeline);
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.profile_path = store_path;
   adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
   for (size_t s = 0; s < shards; ++s) {
@@ -134,17 +104,6 @@ Result<GroupOutcome> RunGroup(const workloads::PhasedChase& chase,
   return out;
 }
 
-size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
-  std::set<size_t> seen;
-  size_t overlaps = 0;
-  for (const auto& [epoch, shard] : report.swap_log) {
-    if (!seen.insert(epoch).second) {
-      ++overlaps;
-    }
-  }
-  return overlaps;
-}
-
 double MeanFirstEpochEfficiency(const adapt::GroupReport& report) {
   double sum = 0.0;
   size_t counted = 0;
@@ -155,21 +114,6 @@ double MeanFirstEpochEfficiency(const adapt::GroupReport& report) {
     }
   }
   return counted > 0 ? sum / static_cast<double>(counted) : 0.0;
-}
-
-int CountCorrect(const workloads::PhasedChase& chase,
-                 const GroupOutcome& outcome, size_t shards) {
-  int correct = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      const int index = static_cast<int>(s) * kRequestsPerShard + i;
-      if (chase.ReadResult(outcome.machines[s]->memory(), index) ==
-          chase.ExpectedResult(index)) {
-        ++correct;
-      }
-    }
-  }
-  return correct;
 }
 
 }  // namespace
@@ -203,7 +147,7 @@ int main(int argc, char** argv) {
   today.flip_task_index = 0;
   auto chase = workloads::PhasedChase::Make(today).value();
 
-  auto eff_base = BaselineEfficiency(chase, machine_config);
+  auto eff_base = BaselineEfficiency(chase, machine_config, kRequestsPerShard);
   auto fresh_pipeline = BenchPipeline();
   fresh_pipeline.profile_tasks = 8;
   auto fresh_artifacts = core::BuildInstrumentedForWorkload(chase, fresh_pipeline);
@@ -273,7 +217,7 @@ int main(int argc, char** argv) {
       independent_rebuilds, converges ? "shared store converges faster" : "FAIL");
   std::printf("  swap overlaps: %zu (%s)\n", overlaps,
               overlaps == 0 ? "stagger holds" : "FAIL");
-  const int correct1 = CountCorrect(chase, cold.value(), kShards);
+  const int correct1 = CountCorrect(chase, cold->machines, kRequestsPerShard);
   all_pass = all_pass && correct1 == static_cast<int>(kShards) * kRequestsPerShard;
   std::printf("  results: %d/%d correct\n\n", correct1,
               static_cast<int>(kShards) * kRequestsPerShard);
@@ -312,7 +256,7 @@ int main(int argc, char** argv) {
       max_divergence = std::max(max_divergence, e.drift_divergence);
     }
   }
-  const int correct2 = CountCorrect(zipf_chase, zipf.value(), 2);
+  const int correct2 = CountCorrect(zipf_chase, zipf->machines, kRequestsPerShard);
   const bool zipf_pass = zipf_all_swapped &&
                          max_appearance <= kAppearanceCeiling &&
                          max_divergence > 0.0 &&

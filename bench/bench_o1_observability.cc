@@ -67,10 +67,7 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
   adapt::ServerGroupConfig config;
-  config.shard.controller.pipeline = pipeline;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.shard.drift_aware_sampling = true;
   adapt::ServerGroup server(&chase.program(), stale, {&machine}, config);
   server.SetObservability(trace, metrics);

@@ -106,12 +106,9 @@ Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
   serve::DeploymentSpec deploy;
   adapt::ServerGroupConfig& config = deploy.group;
   config.shards = kShards;
-  config.shard.controller.pipeline = pipeline;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.shard.adapt_enabled = spec.adapt;
   config.shard.scale_pool = spec.adapt;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
   if (spec.guard) {
     config.guard.enabled = true;
     config.guard.confirmation_window = 2;

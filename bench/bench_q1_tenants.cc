@@ -96,13 +96,10 @@ Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
   serve::DeploymentSpec spec;
   adapt::ServerGroupConfig& config = spec.group;
   config.shards = kShards;
-  config.shard.controller.pipeline = pipeline;
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.shard.controller.drift_threshold = kDriftThreshold;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
   config.shard.adapt_enabled = true;
   config.shard.scale_pool = true;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
   config.guard.enabled = true;
   config.guard.confirmation_window = 3;
   config.guard.regression_ratio = 2.5;

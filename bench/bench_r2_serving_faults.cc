@@ -28,15 +28,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/adapt/server_group.h"
 #include "src/faultinject/serving_faults.h"
-#include "src/runtime/annotate.h"
-#include "src/runtime/dual_mode.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -54,31 +51,6 @@ constexpr int kGuardWindow = 2;
 constexpr double kRecoveryFloor = 0.90;      // R0 vs the A1/A2 bar
 constexpr double kFaultRecoveryShare = 0.90;  // fault rows vs R0
 
-adapt::AdaptiveServerConfig ShardConfig(const core::PipelineConfig& pipeline) {
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  return config;
-}
-
-Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
-                                  const sim::MachineConfig& machine_config) {
-  sim::Machine machine(machine_config);
-  chase.InitMemory(machine.memory());
-  const auto binary =
-      runtime::AnnotateManualYields(chase.program(), machine_config.cost);
-  runtime::DualModeConfig dm;
-  dm.hide_window_cycles = 300;
-  runtime::DualModeScheduler sched(&binary, &binary, &machine, dm);
-  for (int i = 0; i < kRequestsPerShard; ++i) {
-    sched.AddPrimaryTask(chase.SetupFor(i));
-  }
-  YH_ASSIGN_OR_RETURN(const runtime::DualModeReport report, sched.Run());
-  return report.CpuEfficiency();
-}
-
 // The fresh-profile oracle: one non-adapting shard serving on a binary built
 // from today's profile — the recovery target.
 Result<double> FreshEfficiency(const workloads::PhasedChase& chase,
@@ -88,7 +60,7 @@ Result<double> FreshEfficiency(const workloads::PhasedChase& chase,
   sim::Machine machine(pipeline.machine);
   chase.InitMemory(machine.memory());
   adapt::ServerGroupConfig config;
-  config.shard = ShardConfig(pipeline);
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.shard.adapt_enabled = false;
   adapt::ServerGroup server(&chase.program(), fresh, {&machine}, config);
   server.SetScavengerBinary(0, &batch);
@@ -122,7 +94,7 @@ Result<GroupOutcome> RunGuarded(const workloads::PhasedChase& chase,
   }
   adapt::ServerGroupConfig config;
   config.shards = kShards;
-  config.shard = ShardConfig(pipeline);
+  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
   config.profile_path = store_path;
   config.guard.enabled = true;
   config.guard.confirmation_window = kGuardWindow;
@@ -156,32 +128,6 @@ double MeanRecovery(const adapt::GroupReport& report, double eff_base,
     sum += (SteadyStateEfficiency(shard) - eff_base) / win_fresh;
   }
   return sum / static_cast<double>(report.shards.size());
-}
-
-int CountCorrect(const workloads::PhasedChase& chase,
-                 const GroupOutcome& outcome) {
-  int correct = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      const int index = static_cast<int>(s) * kRequestsPerShard + i;
-      if (chase.ReadResult(outcome.machines[s]->memory(), index) ==
-          chase.ExpectedResult(index)) {
-        ++correct;
-      }
-    }
-  }
-  return correct;
-}
-
-size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
-  std::set<size_t> seen;
-  size_t overlaps = 0;
-  for (const auto& [epoch, shard] : report.swap_log) {
-    if (!seen.insert(epoch).second) {
-      ++overlaps;
-    }
-  }
-  return overlaps;
 }
 
 // The exposure bound, checked from the audit trails: every canary reaches a
@@ -258,7 +204,7 @@ int main(int argc, char** argv) {
   today.flip_task_index = 0;
   auto chase = workloads::PhasedChase::Make(today).value();
 
-  auto eff_base = BaselineEfficiency(chase, machine_config);
+  auto eff_base = BaselineEfficiency(chase, machine_config, kRequestsPerShard);
   auto fresh_pipeline = BenchPipeline();
   fresh_pipeline.profile_tasks = 8;
   auto fresh_artifacts = core::BuildInstrumentedForWorkload(chase, fresh_pipeline);
@@ -285,7 +231,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const double recovery_r0 = MeanRecovery(r0->report, *eff_base, win_fresh);
-  const int correct_r0 = CountCorrect(chase, r0.value());
+  const int correct_r0 = CountCorrect(chase, r0->machines, kRequestsPerShard);
   const bool r0_pass =
       recovery_r0 >= kRecoveryFloor && OverlappingSwapEpochs(r0->report) == 0 &&
       ExposureBounded(r0->report, kGuardWindow) &&
@@ -352,7 +298,7 @@ int main(int argc, char** argv) {
       }
       const adapt::GroupReport& report = run->report;
       row.ran = true;
-      row.correct = CountCorrect(chase, run.value()) ==
+      row.correct = CountCorrect(chase, run->machines, kRequestsPerShard) ==
                     static_cast<int>(kShards) * kRequestsPerShard;
       row.exposure = ExposureBounded(report, kGuardWindow) &&
                      OverlappingSwapEpochs(report) == 0;

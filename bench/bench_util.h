@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <set>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
+#include "src/adapt/server_group.h"
 #include "src/adapt/shard.h"
 #include "src/common/strings.h"
 #include "src/core/pipeline.h"
@@ -21,6 +24,7 @@
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
+#include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
 
@@ -208,6 +212,69 @@ inline runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
   return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
     return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
   };
+}
+
+// The serving shard of A1, A2, O1–O4, Q1 and R2: rebuilds through `pipeline`,
+// epochs of `tasks_per_epoch` tasks, at most 4 scavengers, a 300-cycle hide
+// window.
+inline adapt::AdaptiveServerConfig ShardConfig(
+    const core::PipelineConfig& pipeline, int tasks_per_epoch) {
+  adapt::AdaptiveServerConfig config;
+  config.controller.pipeline = pipeline;
+  config.tasks_per_epoch = tasks_per_epoch;
+  config.dual.max_scavengers = 4;
+  config.dual.hide_window_cycles = 300;
+  return config;
+}
+
+// Uninstrumented original, primary alone, over tasks [0, tasks): the
+// efficiency floor every A2/R2 recovery fraction is measured from.
+inline Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
+                                         const sim::MachineConfig& machine_config,
+                                         int tasks) {
+  sim::Machine machine(machine_config);
+  chase.InitMemory(machine.memory());
+  const auto binary =
+      runtime::AnnotateManualYields(chase.program(), machine_config.cost);
+  runtime::DualModeConfig dm;
+  dm.hide_window_cycles = 300;
+  runtime::DualModeScheduler sched(&binary, &binary, &machine, dm);
+  for (int i = 0; i < tasks; ++i) {
+    sched.AddPrimaryTask(chase.SetupFor(i));
+  }
+  YH_ASSIGN_OR_RETURN(const runtime::DualModeReport report, sched.Run());
+  return report.CpuEfficiency();
+}
+
+// Correct results of a group run in which shard s served task indices
+// [s * tasks_per_shard, (s + 1) * tasks_per_shard) on machines[s].
+inline int CountCorrect(const workloads::PhasedChase& chase,
+                        const std::vector<std::unique_ptr<sim::Machine>>& machines,
+                        int tasks_per_shard) {
+  int correct = 0;
+  for (size_t s = 0; s < machines.size(); ++s) {
+    for (int i = 0; i < tasks_per_shard; ++i) {
+      const int index = static_cast<int>(s) * tasks_per_shard + i;
+      if (chase.ReadResult(machines[s]->memory(), index) ==
+          chase.ExpectedResult(index)) {
+        ++correct;
+      }
+    }
+  }
+  return correct;
+}
+
+// Swaps that landed in a group epoch another shard had already swapped in;
+// the stagger policy allows none.
+inline size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
+  std::set<size_t> seen;
+  size_t overlaps = 0;
+  for (const auto& [epoch, shard] : report.swap_log) {
+    if (!seen.insert(epoch).second) {
+      ++overlaps;
+    }
+  }
+  return overlaps;
 }
 
 // Issue-weighted mean efficiency of the epochs after the last swap (all
