@@ -3,7 +3,8 @@
 #   tools/check.sh            # build + ctest, plain then ASan+UBSan
 #   tools/check.sh --fast     # plain config only
 # The sanitized config skips the `golden` bench and CLI output reruns
-# (ctest -LE golden).
+# (ctest -LE golden): they compare outputs, not memory safety, and take
+# minutes under the sanitizers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
