@@ -624,7 +624,10 @@ TEST(ScavengerPassTest, WorstCaseIntervalFollowsCallAndReturn) {
 }
 
 TEST(ScavengerPassTest, WorstCaseIntervalReturnsToEveryCallSite) {
-  auto program = Asm(R"(
+  // The RET returns to every return point, so the two nops before one call
+  // site reach the three nops after the other: 5 nops + call + ret, whichever
+  // call site comes first.
+  auto first_call_longer = Asm(R"(
     .entry main
     leaf:
       ret        ; 0
@@ -640,11 +643,26 @@ TEST(ScavengerPassTest, WorstCaseIntervalReturnsToEveryCallSite) {
       yield      ; 9
       halt       ; 10
   )");
+  auto second_call_longer = Asm(R"(
+    .entry main
+    leaf:
+      ret        ; 0
+    main:
+      call leaf  ; 1
+      nop        ; 2
+      nop        ; 3
+      nop        ; 4
+      yield      ; 5
+      nop        ; 6
+      nop        ; 7
+      call leaf  ; 8
+      yield      ; 9
+      halt       ; 10
+  )");
   const sim::CostModel cost = DistinctCosts();
-  // The RET returns to every return point, so the two nops before the first
-  // call reach the three nops after the second: 5 nops + call + ret.
-  EXPECT_EQ(WorstCaseInterval(program, cost, 1000),
-            5 * cost.alu_cycles + 2 * cost.call_ret_cycles);
+  const uint32_t expected = 5 * cost.alu_cycles + 2 * cost.call_ret_cycles;
+  EXPECT_EQ(WorstCaseInterval(first_call_longer, cost, 1000), expected);
+  EXPECT_EQ(WorstCaseInterval(second_call_longer, cost, 1000), expected);
 }
 
 TEST(ScavengerPassTest, WorstCaseIntervalTakesTheWorseArm) {
