@@ -90,12 +90,6 @@ Result<ControlFlowGraph> ControlFlowGraph::Build(const isa::Program& program) {
     dedupe(block.successors);
     dedupe(block.predecessors);
   }
-
-  for (const BasicBlock& block : cfg.blocks_) {
-    if (block.predecessors.empty()) {
-      cfg.roots_.push_back(block.id);
-    }
-  }
   return cfg;
 }
 

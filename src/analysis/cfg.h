@@ -47,9 +47,6 @@ class ControlFlowGraph {
   // Block containing `addr`.
   BlockId BlockOf(isa::Addr addr) const { return block_of_[addr]; }
 
-  // Blocks with no predecessors (function entries / the program entry).
-  const std::vector<BlockId>& roots() const { return roots_; }
-
   // Blocks reachable from the program entry, in reverse post-order (for
   // forward dataflow) — restricted to the entry's component.
   std::vector<BlockId> ReversePostOrder() const;
@@ -60,7 +57,6 @@ class ControlFlowGraph {
   const isa::Program* program_ = nullptr;
   std::vector<BasicBlock> blocks_;
   std::vector<BlockId> block_of_;  // per instruction address
-  std::vector<BlockId> roots_;
 };
 
 }  // namespace yieldhide::analysis
