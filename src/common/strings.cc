@@ -94,7 +94,10 @@ Result<double> ParseDouble(std::string_view s) {
   if (errno == ERANGE) {
     return OutOfRangeError("double out of range: " + buf);
   }
-  if (end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+  if (end != buf.c_str() + buf.size()) {
+    return InvalidArgumentError("not a double: " + buf);
+  }
+  if (!std::isfinite(v)) {
     return InvalidArgumentError("not a finite double: " + buf);
   }
   return v;
