@@ -13,9 +13,6 @@ constexpr uint32_t kSelfResumeCycles = 2;
 // A site is quarantined once fewer than this fraction of its (at least
 // kQuarantineMinVisits) visits looked useful.
 constexpr double kQuarantineMinUsefulFraction = 0.25;
-// The tail rule (DualModeConfig::quarantine_use_tail) quarantines a site once
-// its per-visit switch-cost p99 exceeds this many cycles.
-constexpr uint64_t kQuarantineTailSwitchCycles = 48;
 }  // namespace
 
 std::string DualModeReport::Summary() const {
@@ -663,26 +660,11 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
                              machine_->now(), primary.id, OriginalSiteOf(ip),
                              cost);
             }
-            bool newly_quarantined = false;
             if (stats.visits >= kQuarantineMinVisits &&
                 static_cast<double>(stats.useful) <
                     kQuarantineMinUsefulFraction *
                         static_cast<double>(stats.visits)) {
               stats.quarantined = true;
-              newly_quarantined = true;
-            }
-            if (config_.quarantine_use_tail) {
-              LatencyHistogram& hist =
-                  site_switch_hist_[OriginalSiteOf(ip)];
-              hist.Record(cost);
-              if (!stats.quarantined &&
-                  stats.visits >= kQuarantineMinVisits &&
-                  hist.P99() > kQuarantineTailSwitchCycles) {
-                stats.quarantined = true;
-                newly_quarantined = true;
-              }
-            }
-            if (newly_quarantined) {
               ++report_.sites_quarantined;
               if (profiler_ != nullptr) {
                 profiler_->OnQuarantine(OriginalSiteOf(ip), true);

@@ -66,15 +66,6 @@ struct DualModeConfig {
   // instrumented kPrimary sites are ever quarantined; developer-written
   // yields are left alone.
   bool site_quarantine = true;
-  // Tail-aware quarantine (the histogram-typed per-site metrics follow-up):
-  // additionally quarantine a site once its per-visit switch-cost p99 — a
-  // sparse LatencyHistogram per ORIGINAL site, so the distribution survives
-  // hot swaps — exceeds a fixed threshold after kQuarantineMinVisits visits.
-  // Catches sites whose MEAN cost looks affordable but whose tail (fat save
-  // masks after a pass regression, pathological chains) blows the latency
-  // budget. Default off: the fraction-based rule is the calibrated R1/A1
-  // behaviour.
-  bool quarantine_use_tail = false;
 };
 
 // Online per-site accounting backing the quarantine decision.
@@ -339,10 +330,6 @@ class DualModeScheduler {
   // kPrimary yield address in the current primary binary -> original-binary
   // site (the swap-invariant key observability uses).
   std::map<isa::Addr, isa::Addr> yield_site_origin_;
-  // Per-site switch-cost distributions backing the tail quarantine rule,
-  // keyed by ORIGINAL site so the tail evidence survives hot swaps. Only
-  // populated when config_.quarantine_use_tail is on.
-  std::map<isa::Addr, LatencyHistogram> site_switch_hist_;
 };
 
 }  // namespace yieldhide::runtime

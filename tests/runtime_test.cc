@@ -410,75 +410,22 @@ TEST_F(DualModeTest, SeededQuarantineStaysQuarantinedWithExternalSupplier) {
   EXPECT_EQ(report->sites_quarantined, 0u);  // carried, not a new event
 }
 
-// --- Tail-based quarantine (per-site switch-cost p99) ------------------------
-
-// A site can earn its keep on the useful-fraction rule and still be a tail
-// liability: every visit pays an expensive switch. With quarantine_use_tail
-// the per-site switch-cost histogram's p99 crossing the threshold quarantines
-// it even though its yields cover real misses.
-TEST_F(DualModeTest, TailQuarantineFiresOnExpensiveSwitchSite) {
-  for (auto& [addr, info] : primary_.yields) {
-    info.switch_cycles = 60;  // above the 48-cycle default tail threshold
-  }
-  DualModeConfig config;
-  config.quarantine_use_tail = true;
-  DualModeScheduler sched(&primary_, &scavenger_, machine_.get(), config);
-  for (int i = 0; i < 2; ++i) {
-    sched.AddPrimaryTask(PrimaryTask(i));
-  }
-  sched.SetScavengerFactory(AluScavengers(100));
-  auto report = sched.Run();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->sites_quarantined, 1u);
-  EXPECT_GT(report->quarantined_skips, 0u);
-  ASSERT_EQ(report->site_stats.size(), 1u);
-  const YieldSiteStats& stats = report->site_stats.begin()->second;
-  EXPECT_TRUE(stats.quarantined);
-  // The fraction rule would NOT have fired: the chase yields cover real
-  // misses, so the useful fraction was healthy when the tail rule tripped.
-  EXPECT_GT(static_cast<double>(stats.useful),
-            0.25 * static_cast<double>(stats.visits));
-}
-
-// Both "no" branches: flag off ignores the expensive tail entirely, and flag
-// on leaves a cheap-switch site alone (p99 under the threshold).
-TEST_F(DualModeTest, TailQuarantineRespectsFlagAndThreshold) {
-  // Flag off (the default): same expensive site is never tail-quarantined.
+// A site whose every visit pays an expensive switch still earns its keep when
+// its yields cover real misses: YieldLooksUseful weighs the line's latency
+// against the switch cost, and the useful-fraction rule keeps the site live.
+TEST_F(DualModeTest, ExpensiveSwitchSiteHidingRealMissesStaysLive) {
   for (auto& [addr, info] : primary_.yields) {
     info.switch_cycles = 60;
   }
-  {
-    DualModeConfig config;
-    ASSERT_FALSE(config.quarantine_use_tail);  // default stays off
-    DualModeScheduler sched(&primary_, &scavenger_, machine_.get(), config);
-    sched.AddPrimaryTask(PrimaryTask(0));
-    sched.SetScavengerFactory(AluScavengers(100));
-    auto report = sched.Run();
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(report->sites_quarantined, 0u);
-    EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
-    EXPECT_GT(report->site_stats.begin()->second.visits,
-              kQuarantineMinVisits);
-  }
-  // Flag on, cheap switches: p99 stays under the threshold, site stays live.
-  for (auto& [addr, info] : primary_.yields) {
-    info.switch_cycles = 8;
-  }
-  {
-    auto machine = std::make_unique<sim::Machine>(sim::MachineConfig::SmallTest());
-    WriteRing(*machine, 0x100000, kLines, 1021);
-    DualModeConfig config;
-    config.quarantine_use_tail = true;
-    DualModeScheduler sched(&primary_, &scavenger_, machine.get(), config);
-    sched.AddPrimaryTask(PrimaryTask(0));
-    sched.SetScavengerFactory(AluScavengers(100));
-    auto report = sched.Run();
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(report->sites_quarantined, 0u);
-    EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
-    EXPECT_GT(report->site_stats.begin()->second.visits,
-              kQuarantineMinVisits);
-  }
+  DualModeScheduler sched(&primary_, &scavenger_, machine_.get(),
+                          DualModeConfig{});
+  sched.AddPrimaryTask(PrimaryTask(0));
+  sched.SetScavengerFactory(AluScavengers(100));
+  auto report = sched.Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->sites_quarantined, 0u);
+  EXPECT_FALSE(report->site_stats.begin()->second.quarantined);
+  EXPECT_GT(report->site_stats.begin()->second.visits, kQuarantineMinVisits);
 }
 
 // --- Faulting steps reach every runner's caller --------------------------------
