@@ -93,38 +93,6 @@ Result<ControlFlowGraph> ControlFlowGraph::Build(const isa::Program& program) {
   return cfg;
 }
 
-std::vector<BlockId> ControlFlowGraph::ReversePostOrder() const {
-  std::vector<uint8_t> visited(blocks_.size(), 0);
-  std::vector<BlockId> postorder;
-  postorder.reserve(blocks_.size());
-
-  // Iterative DFS from the program entry's block.
-  struct Frame {
-    BlockId id;
-    size_t next_succ;
-  };
-  std::vector<Frame> stack;
-  const BlockId entry_block = block_of_[program_->entry()];
-  stack.push_back({entry_block, 0});
-  visited[entry_block] = 1;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const BasicBlock& block = blocks_[frame.id];
-    if (frame.next_succ < block.successors.size()) {
-      const BlockId succ = block.successors[frame.next_succ++];
-      if (!visited[succ]) {
-        visited[succ] = 1;
-        stack.push_back({succ, 0});
-      }
-    } else {
-      postorder.push_back(frame.id);
-      stack.pop_back();
-    }
-  }
-  std::reverse(postorder.begin(), postorder.end());
-  return postorder;
-}
-
 std::string ControlFlowGraph::ToDot() const {
   std::string out = "digraph cfg {\n  node [shape=box, fontname=monospace];\n";
   for (const BasicBlock& block : blocks_) {

@@ -47,10 +47,6 @@ class ControlFlowGraph {
   // Block containing `addr`.
   BlockId BlockOf(isa::Addr addr) const { return block_of_[addr]; }
 
-  // Blocks reachable from the program entry, in reverse post-order (for
-  // forward dataflow) — restricted to the entry's component.
-  std::vector<BlockId> ReversePostOrder() const;
-
   std::string ToDot() const;  // graphviz rendering for debugging/docs
 
  private:
