@@ -15,7 +15,7 @@ function(yh_bench name)
   target_link_libraries(${name} PRIVATE
     yh_serve yh_adapt yh_diff yh_core yh_faultinject yh_runtime yh_instrument
     yh_analysis yh_profile yh_profiler yh_pmu yh_obs yh_sim yh_workloads yh_coro
-    yh_perfev yh_isa yh_common benchmark::benchmark Threads::Threads)
+    yh_isa yh_common benchmark::benchmark Threads::Threads)
   if(NOT YH_BENCH_NO_GOLDEN)
     set(workdir ${CMAKE_BINARY_DIR}/golden/${name})
     file(MAKE_DIRECTORY ${workdir})
