@@ -17,7 +17,7 @@
 //   fresh    — binary re-profiled offline on TODAY'S mix (eight profile
 //              tasks of the drifted stream): the oracle the online loop is
 //              trying to reach without a maintenance window;
-//   adapt    — stale binary served by a one-shard ServerGroup: online
+//   adapt    — stale binary served by a one-shard deployment: online
 //              re-profiling at low sampling periods, drift scoring each
 //              8-task epoch, rebuild + hot-swap at a safe point,
 //              occupancy-driven pool scaling.
@@ -34,8 +34,8 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server_group.h"
 #include "src/runtime/dual_mode.h"
+#include "src/serve/deployment.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -87,28 +87,22 @@ BaselineOutcome RunBaseline(const workloads::PhasedChase& chase,
   return out;
 }
 
-// One single-core serving run (a ServerGroup with one shard) over the request
-// stream. `adapting` false = control mode (drift is still scored for the
-// table, nothing acts on it).
+// One single-core serving run (a one-shard deployment) over the request
+// stream, every result checked. `adapting` false = control mode (drift is
+// still scored for the table, nothing acts on it).
 Result<adapt::AdaptReport> RunServer(const workloads::PhasedChase& chase,
                                      const core::PipelineArtifacts& artifacts,
                                      const instrument::InstrumentedProgram& batch,
-                                     const sim::MachineConfig& machine_config,
                                      const core::PipelineConfig& rebuild_pipeline,
                                      bool adapting) {
-  sim::Machine machine(machine_config);
-  chase.InitMemory(machine.memory());
-  adapt::ServerGroupConfig config;
-  config.shard = ShardConfig(rebuild_pipeline, kTasksPerEpoch);
-  config.shard.adapt_enabled = adapting;
-  config.shard.scale_pool = adapting;
-  config.shard.charge_sampling_overhead = adapting;
-  adapt::ServerGroup server(&chase.program(), artifacts, {&machine}, config);
-  server.SetScavengerBinary(0, &batch);  // unrelated batch job: never swapped
-  server.SetScavengerFactory(0, BatchFactory());
-  for (int i = 0; i < kRequests; ++i) {
-    server.AddTask(0, chase.SetupFor(i));
-  }
+  serve::DeploymentSpec spec;
+  spec.group.shard = ShardConfig(rebuild_pipeline, kTasksPerEpoch);
+  spec.group.shard.adapt_enabled = adapting;
+  spec.group.shard.scale_pool = adapting;
+  spec.group.shard.charge_sampling_overhead = adapting;
+  spec.closed_loop = BatchLoop(batch, kRequests);
+  YH_ASSIGN_OR_RETURN(serve::Deployment server,
+                      serve::Deployment::Build(chase, artifacts, spec));
   YH_ASSIGN_OR_RETURN(adapt::GroupReport report, server.Run());
   return std::move(report.shards[0]);
 }
@@ -125,17 +119,15 @@ int main(int argc, char** argv) {
   const sim::MachineConfig machine_config = sim::MachineConfig::SkylakeLike();
   const auto batch = MakeScavengedBatch(machine_config);
 
-  // The stale profile comes from yesterday's all-phase-A traffic: a
-  // severity-0 twin (same seed, same rings, same program) profiled on its
-  // first tasks.
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = 1 << 18;  // 16 MiB per ring, 2x the L3: every payload
-  yesterday.steps_per_task = kChaseSteps;  // load misses, today and yesterday
-  yesterday.severity = 0.0;
-  auto chase_yesterday = workloads::PhasedChase::Make(yesterday).value();
-  auto stale_pipeline = BenchPipeline();
-  auto stale = core::BuildInstrumentedForWorkload(chase_yesterday, stale_pipeline).value();
-  std::printf("stale pipeline (phase-A profile): %s\n", stale.Summary().c_str());
+  // Today's traffic draws phase B with P = severity from the very first
+  // request (the service was instrumented before the mix changed). The stale
+  // profile comes from yesterday's all-phase-A traffic: the severity-0 twin,
+  // the same for every severity.
+  workloads::PhasedChase::Config today;
+  today.num_nodes = 1 << 18;  // 16 MiB per ring, 2x the L3: every payload
+  today.steps_per_task = kChaseSteps;  // load misses, today and yesterday
+  today.flip_task_index = 0;
+  const auto stale_pipeline = BenchPipeline();
 
   Table table({"severity", "run", "cycles_x", "eff", "drift", "swaps", "epoch_max_x",
                "recovery", "verdict"});
@@ -143,12 +135,10 @@ int main(int argc, char** argv) {
   bool all_pass = true;
 
   for (const double severity : {0.0, 0.5, 1.0}) {
-    // Today's traffic: phase B with P = severity from the very first request
-    // (the service was instrumented before the mix changed).
-    workloads::PhasedChase::Config today = yesterday;
     today.severity = severity;
-    today.flip_task_index = 0;
-    auto chase = workloads::PhasedChase::Make(today).value();
+    const auto drift = serve::DriftScenario::Make(today, stale_pipeline).value();
+    const workloads::PhasedChase& chase = drift.chase;
+    const core::PipelineArtifacts& stale = drift.stale;
 
     const BaselineOutcome baseline = RunBaseline(chase, machine_config);
     if (!baseline.ok) {
@@ -166,11 +156,11 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    auto control = RunServer(chase, stale, batch, machine_config, stale_pipeline,
+    auto control = RunServer(chase, stale, batch, stale_pipeline,
                              /*adapting=*/false);
-    auto fresh = RunServer(chase, fresh_artifacts.value(), batch, machine_config,
-                           stale_pipeline, /*adapting=*/false);
-    auto adapting = RunServer(chase, stale, batch, machine_config, stale_pipeline,
+    auto fresh = RunServer(chase, fresh_artifacts.value(), batch, stale_pipeline,
+                           /*adapting=*/false);
+    auto adapting = RunServer(chase, stale, batch, stale_pipeline,
                               /*adapting=*/true);
     if (!control.ok() || !fresh.ok() || !adapting.ok()) {
       std::fprintf(stderr, "severity %.1f: run failed: %s\n", severity,
@@ -258,6 +248,7 @@ int main(int argc, char** argv) {
               {"sampling_overhead_cycles",
                static_cast<double>(adapting->sampling_overhead_cycles)},
               {"pass", pass ? 1.0 : 0.0}});
+    std::printf("  [%.1f] stale: %s\n", severity, stale.Summary().c_str());
     std::printf("  [%.1f] adapt: %s\n", severity, adapting->Summary().c_str());
   }
 

@@ -45,11 +45,11 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server_group.h"
 #include "src/obs/profiler/export.h"
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
+#include "src/serve/deployment.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -68,39 +68,38 @@ struct ScenarioResult {
   adapt::AdaptReport report;
   // Original load site -> covering primary-yield address in the FINAL binary.
   std::map<isa::Addr, isa::Addr> site_index;
+  // Holds the shard's profiler, when the run had one.
+  std::optional<serve::Deployment> server;
+
+  const obs::CycleProfiler& profiler() const { return *server->profiler(0); }
 };
 
+// With a recorder, the run's trace stream also feeds the profiler's sink.
 ScenarioResult RunScenario(const workloads::PhasedChase& chase,
                            const core::PipelineArtifacts& stale,
                            const core::PipelineConfig& pipeline,
                            obs::TraceRecorder* trace,
-                           obs::CycleProfiler* profiler) {
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::ServerGroupConfig config;
-  config.shard = ShardConfig(pipeline, kTasksPerEpoch);
-  config.shard.drift_aware_sampling = true;
-  adapt::ServerGroup server(&chase.program(), stale, {&machine}, config);
-  server.SetObservability(trace, nullptr);
-  server.SetProfiler(0, profiler);
-  for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(0, chase.SetupFor(i));
-  }
-  int extra = kTasks;
-  server.SetScavengerFactory(
-      0, [&chase, extra]() mutable
-             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
+                           std::optional<obs::CycleProfilerConfig> profiler) {
+  serve::DeploymentSpec spec;
+  spec.group.shard = ShardConfig(pipeline, kTasksPerEpoch);
+  spec.group.shard.drift_aware_sampling = true;
+  spec.closed_loop.emplace().tasks_per_shard = kTasks;
+  spec.trace = trace;
+  spec.profiler = profiler;
   ScenarioResult result;
-  auto report = server.Run();
+  auto server = serve::Deployment::Build(chase, stale, spec);
+  if (server.ok() && trace != nullptr) {
+    trace->SetSink(server->profiler(0)->MakeTraceSink());
+  }
+  auto report = server.ok() ? server->Run() : server.status();
   if (!report.ok()) {
     std::fprintf(stderr, "run failed: %s\n", report.status().ToString().c_str());
     return result;
   }
   result.ok = true;
   result.report = std::move(report.value().shards[0]);
-  result.site_index = server.controller().site_index();
+  result.site_index = server->controller().site_index();
+  result.server.emplace(std::move(server).value());
   return result;
 }
 
@@ -118,19 +117,17 @@ int main(int argc, char** argv) {
   Banner("O2", "cycle attribution: exact taxonomy + overhead + dual-feed reconciliation");
   JsonWriter json("O2", argc, argv);
 
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = kNodes;
-  yesterday.steps_per_task = kSteps;
-  yesterday.severity = 0.0;
-  auto twin = workloads::PhasedChase::Make(yesterday).value();
-  auto pipeline = BenchPipeline();
-  auto stale = core::BuildInstrumentedForWorkload(twin, pipeline).value();
-  std::printf("stale pipeline (phase-A profile): %s\n", stale.Summary().c_str());
-
-  workloads::PhasedChase::Config today = yesterday;
+  workloads::PhasedChase::Config today;
+  today.num_nodes = kNodes;
+  today.steps_per_task = kSteps;
   today.severity = 1.0;
   today.flip_task_index = 0;
-  auto chase = workloads::PhasedChase::Make(today).value();
+  const auto pipeline = BenchPipeline();
+  const auto drift = serve::DriftScenario::Make(today, pipeline).value();
+  const workloads::PhasedChase& twin = drift.twin;
+  const core::PipelineArtifacts& stale = drift.stale;
+  const workloads::PhasedChase& chase = drift.chase;
+  std::printf("stale pipeline (phase-A profile): %s\n", stale.Summary().c_str());
 
   bool all_pass = true;
   auto gate = [&](bool pass, const char* what) {
@@ -140,30 +137,25 @@ int main(int argc, char** argv) {
   };
 
   // --- the scenario matrix --------------------------------------------------
-  const ScenarioResult seed = RunScenario(chase, stale, pipeline, nullptr, nullptr);
+  const ScenarioResult seed =
+      RunScenario(chase, stale, pipeline, nullptr, std::nullopt);
 
   obs::CycleProfilerConfig off_config;
   off_config.enabled = false;
-  obs::CycleProfiler off_profiler(off_config);
   const ScenarioResult disabled =
-      RunScenario(chase, stale, pipeline, nullptr, &off_profiler);
+      RunScenario(chase, stale, pipeline, nullptr, off_config);
 
-  obs::CycleProfiler profiler;
   const ScenarioResult enabled =
-      RunScenario(chase, stale, pipeline, nullptr, &profiler);
+      RunScenario(chase, stale, pipeline, nullptr, obs::CycleProfilerConfig{});
 
   obs::TraceConfig ring_config;
   ring_config.capacity = kStreamRing;
   obs::TraceRecorder recorder(ring_config);
-  obs::CycleProfiler stream_profiler;
-  recorder.SetSink(stream_profiler.MakeTraceSink());
-  const ScenarioResult stream =
-      RunScenario(chase, stale, pipeline, &recorder, &stream_profiler);
-  recorder.DrainToSink();
+  const ScenarioResult stream = RunScenario(chase, stale, pipeline, &recorder,
+                                            obs::CycleProfilerConfig{});
 
-  obs::CycleProfiler calm_profiler;
   const ScenarioResult calm =
-      RunScenario(twin, stale, pipeline, nullptr, &calm_profiler);
+      RunScenario(twin, stale, pipeline, nullptr, obs::CycleProfilerConfig{});
 
   // Symmetric runtime: the stale binary round-robin on its own twin, no
   // scavengers anywhere near it.
@@ -189,6 +181,10 @@ int main(int argc, char** argv) {
   if (!seed.ok || !disabled.ok || !enabled.ok || !stream.ok || !calm.ok) {
     return 2;
   }
+  const obs::CycleProfiler& off_profiler = disabled.profiler();
+  const obs::CycleProfiler& profiler = enabled.profiler();
+  const obs::CycleProfiler& stream_profiler = stream.profiler();
+  const obs::CycleProfiler& calm_profiler = calm.profiler();
 
   const double seed_cycles = static_cast<double>(seed.report.run.run.total_cycles);
   const double disabled_x = disabled.report.run.run.total_cycles / seed_cycles;

@@ -256,22 +256,20 @@ int main(int argc, char** argv) {
   // One binary for the whole sweep: yesterday's phase-A profile serving
   // today's drifted service — the adapt point has a real reason to rebuild,
   // the steady points just serve it as-is.
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = kChaseNodes;
-  yesterday.steps_per_task = kChaseSteps;
-  yesterday.severity = 0.0;
-  auto chase_yesterday = workloads::PhasedChase::Make(yesterday).value();
-  const auto pipeline = BenchPipeline();
-  auto stale = core::BuildInstrumentedForWorkload(chase_yesterday, pipeline);
-  if (!stale.ok()) {
-    std::fprintf(stderr, "instrumentation failed: %s\n",
-                 stale.status().ToString().c_str());
-    return 2;
-  }
-  workloads::PhasedChase::Config today = yesterday;
+  workloads::PhasedChase::Config today;
+  today.num_nodes = kChaseNodes;
+  today.steps_per_task = kChaseSteps;
   today.severity = 1.0;
   today.flip_task_index = 0;
-  auto chase = workloads::PhasedChase::Make(today).value();
+  const auto pipeline = BenchPipeline();
+  auto scenario = serve::DriftScenario::Make(today, pipeline);
+  if (!scenario.ok()) {
+    std::fprintf(stderr, "instrumentation failed: %s\n",
+                 scenario.status().ToString().c_str());
+    return 2;
+  }
+  const core::PipelineArtifacts& stale = scenario->stale;
+  const workloads::PhasedChase& chase = scenario->chase;
 
   // ---------- load sweep, rollback mid-sweep ------------------------------
   const std::vector<PointSpec> sweep = {
@@ -284,7 +282,7 @@ int main(int argc, char** argv) {
   table.PrintHeader();
   std::unique_ptr<PointOutcome> rollback_point;
   for (const PointSpec& spec : sweep) {
-    auto run = RunPoint(chase, *stale, pipeline, spec, SpanMode::kEnabled);
+    auto run = RunPoint(chase, stale, pipeline, spec, SpanMode::kEnabled);
     // VerifyExactness failures surface here: exactness is a Status, not a
     // score, so a broken point is a failed run, not a degraded row.
     if (!run.ok()) {
@@ -360,9 +358,9 @@ int main(int argc, char** argv) {
   // Same point, three builds of the observability stack; the ratio is over
   // SIMULATED cycles, so the modeled span/SLO/trace costs are what is priced.
   const PointSpec price_spec{/*rate=*/0.02, /*duration=*/1'000'000, false};
-  auto bare = RunPoint(chase, *stale, pipeline, price_spec, SpanMode::kNone);
-  auto off = RunPoint(chase, *stale, pipeline, price_spec, SpanMode::kDisabled);
-  auto on = RunPoint(chase, *stale, pipeline, price_spec, SpanMode::kEnabled);
+  auto bare = RunPoint(chase, stale, pipeline, price_spec, SpanMode::kNone);
+  auto off = RunPoint(chase, stale, pipeline, price_spec, SpanMode::kDisabled);
+  auto on = RunPoint(chase, stale, pipeline, price_spec, SpanMode::kEnabled);
   if (!bare.ok() || !off.ok() || !on.ok()) {
     std::fprintf(stderr, "overhead runs failed\n");
     return 2;
@@ -392,7 +390,7 @@ int main(int argc, char** argv) {
   // and the drained event count to come back bit-identical.
   bool deterministic = false;
   if (rollback_point != nullptr) {
-    auto rerun = RunPoint(chase, *stale, pipeline, sweep[1], SpanMode::kEnabled);
+    auto rerun = RunPoint(chase, stale, pipeline, sweep[1], SpanMode::kEnabled);
     if (rerun.ok()) {
       deterministic = SameOutcome(*rollback_point, rerun.value());
     } else {

@@ -332,22 +332,20 @@ int main(int argc, char** argv) {
   // Yesterday's phase-A profile serving today's drifted service: the planted
   // workload regression is that every task now walks the B ring, whose hot
   // load (miss_load_b) the stale binary has no yield for.
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = kChaseNodes;
-  yesterday.steps_per_task = kChaseSteps;
-  yesterday.severity = 0.0;
-  auto chase_yesterday = workloads::PhasedChase::Make(yesterday).value();
-  const auto pipeline = BenchPipeline();
-  auto stale = core::BuildInstrumentedForWorkload(chase_yesterday, pipeline);
-  if (!stale.ok()) {
-    std::fprintf(stderr, "instrumentation failed: %s\n",
-                 stale.status().ToString().c_str());
-    return 2;
-  }
-  workloads::PhasedChase::Config today = yesterday;
+  workloads::PhasedChase::Config today;
+  today.num_nodes = kChaseNodes;
+  today.steps_per_task = kChaseSteps;
   today.severity = 1.0;
   today.flip_task_index = kFlip;
-  auto chase = workloads::PhasedChase::Make(today).value();
+  const auto pipeline = BenchPipeline();
+  auto scenario = serve::DriftScenario::Make(today, pipeline);
+  if (!scenario.ok()) {
+    std::fprintf(stderr, "instrumentation failed: %s\n",
+                 scenario.status().ToString().c_str());
+    return 2;
+  }
+  const core::PipelineArtifacts& stale = scenario->stale;
+  const workloads::PhasedChase& chase = scenario->chase;
   const uint64_t planted_site = chase.miss_load_b();
 
   Table table({"scenario", "epochs", "cause", "top_site", "class", "verdict"});
@@ -356,7 +354,7 @@ int main(int argc, char** argv) {
   // ---------- scenario A: workload drift names the planted site -----------
   const PointSpec drift_spec{/*rate=*/0.02, /*duration=*/8'000'000,
                              /*adapt=*/true, /*guard=*/false};
-  auto drift = RunPoint(chase, *stale, pipeline, drift_spec, ObsMode::kEnabled);
+  auto drift = RunPoint(chase, stale, pipeline, drift_spec, ObsMode::kEnabled);
   bool drift_ok = false;
   if (!drift.ok()) {
     std::fprintf(stderr, "drift scenario failed: %s\n",
@@ -450,7 +448,7 @@ int main(int argc, char** argv) {
   // ---------- scenario B: the control-plane join owns its own mess --------
   const PointSpec rollback_spec{/*rate=*/0.02, /*duration=*/8'000'000,
                                 /*adapt=*/true, /*guard=*/true};
-  auto rollback = RunPoint(chase, *stale, pipeline, rollback_spec,
+  auto rollback = RunPoint(chase, stale, pipeline, rollback_spec,
                            ObsMode::kEnabled);
   bool rollback_ok = false;
   obs::EpochSet rb_baseline, rb_current;
@@ -588,9 +586,9 @@ int main(int argc, char** argv) {
   // cycles, so the modeled span/SLO/trace/exemplar costs are what is priced.
   const PointSpec price_spec{/*rate=*/0.02, /*duration=*/1'000'000, false,
                              false};
-  auto bare = RunPoint(chase, *stale, pipeline, price_spec, ObsMode::kNone);
-  auto off = RunPoint(chase, *stale, pipeline, price_spec, ObsMode::kDisabled);
-  auto on = RunPoint(chase, *stale, pipeline, price_spec, ObsMode::kEnabled);
+  auto bare = RunPoint(chase, stale, pipeline, price_spec, ObsMode::kNone);
+  auto off = RunPoint(chase, stale, pipeline, price_spec, ObsMode::kDisabled);
+  auto on = RunPoint(chase, stale, pipeline, price_spec, ObsMode::kEnabled);
   bool overhead_ok = false;
   if (!bare.ok() || !off.ok() || !on.ok()) {
     std::fprintf(stderr, "overhead runs failed\n");
@@ -620,7 +618,7 @@ int main(int argc, char** argv) {
   // byte for byte.
   bool deterministic = false;
   if (rollback.ok() && rollback_ok) {
-    auto rerun = RunPoint(chase, *stale, pipeline, rollback_spec,
+    auto rerun = RunPoint(chase, stale, pipeline, rollback_spec,
                           ObsMode::kEnabled);
     if (rerun.ok()) {
       deterministic = SameOutcome(*rollback, *rerun);

@@ -149,25 +149,24 @@ int main(int argc, char** argv) {
   JsonWriter json("Q1", argc, argv);
   bool all_pass = true;
 
-  workloads::PhasedChase::Config wl;
-  wl.num_nodes = kChaseNodes;
-  wl.steps_per_task = kChaseSteps;
-  wl.severity = 0.0;
-  auto twin = workloads::PhasedChase::Make(wl).value();
-  wl.severity = kSeverity;
-  wl.flip_task_index = 0;
-  auto drifted = workloads::PhasedChase::Make(wl).value();
-
+  workloads::PhasedChase::Config today;
+  today.num_nodes = kChaseNodes;
+  today.steps_per_task = kChaseSteps;
+  today.severity = kSeverity;
+  today.flip_task_index = 0;
   const auto pipeline = BenchPipeline();
-  auto stale = core::BuildInstrumentedForWorkload(twin, pipeline);
-  if (!stale.ok()) {
+  auto scenario = serve::DriftScenario::Make(today, pipeline);
+  if (!scenario.ok()) {
     std::fprintf(stderr, "instrumentation failed: %s\n",
-                 stale.status().ToString().c_str());
+                 scenario.status().ToString().c_str());
     return 2;
   }
+  const workloads::PhasedChase& twin = scenario->twin;
+  const workloads::PhasedChase& drifted = scenario->chase;
+  const core::PipelineArtifacts& stale = scenario->stale;
 
-  auto aware = RunScenario(drifted, twin, *stale, pipeline, true);
-  auto blind = RunScenario(drifted, twin, *stale, pipeline, false);
+  auto aware = RunScenario(drifted, twin, stale, pipeline, true);
+  auto blind = RunScenario(drifted, twin, stale, pipeline, false);
   if (!aware.ok() || !blind.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
                  (!aware.ok() ? aware : blind).status().ToString().c_str());
@@ -233,7 +232,7 @@ int main(int argc, char** argv) {
               blind_violates ? "pass" : "FAIL");
 
   // Gate 4: determinism — the aware scenario reruns bit-identically.
-  auto rerun = RunScenario(drifted, twin, *stale, pipeline, true);
+  auto rerun = RunScenario(drifted, twin, stale, pipeline, true);
   if (!rerun.ok()) {
     std::fprintf(stderr, "determinism rerun failed: %s\n",
                  rerun.status().ToString().c_str());

@@ -14,8 +14,9 @@
 // binary rebuilt from day-1 evidence instead of the offline reference.
 //
 // One core is a group with shards = 1: unlabeled metric series, and a store
-// that shadows the shard's local profile exactly. Open-loop serving wires a
-// group behind per-shard front ends through serve::Deployment.
+// that shadows the shard's local profile exactly. Programs build their groups
+// through serve::Deployment, open loop behind per-shard front ends or closed
+// loop over fixed task slices.
 #ifndef YIELDHIDE_SRC_ADAPT_SERVER_GROUP_H_
 #define YIELDHIDE_SRC_ADAPT_SERVER_GROUP_H_
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/common/strings.h"
 #include "src/obs/labels.h"
 
 namespace yieldhide::serve {
@@ -36,6 +37,66 @@ std::optional<obs::ControlEvent::Kind> ControlKind(adapt::GuardEventKind kind) {
   return std::nullopt;
 }
 
+// A closed-loop spec has a task slice, a whole batch job or none, and no
+// part that needs a front end.
+Status ValidateClosedLoop(const DeploymentSpec& spec) {
+  const ClosedLoopSource& loop = *spec.closed_loop;
+  if (loop.tasks_per_shard < 1) {
+    return InvalidArgumentError(
+        "deployment: closed_loop.tasks_per_shard must be at least 1");
+  }
+  if (loop.batch != nullptr && !loop.batch_factory) {
+    return InvalidArgumentError(
+        "deployment: a closed-loop batch binary needs its batch_factory");
+  }
+  if (loop.batch == nullptr && loop.batch_factory) {
+    return InvalidArgumentError(
+        "deployment: a closed-loop batch_factory needs its batch binary");
+  }
+  const std::pair<bool, const char*> needs_front_end[] = {
+      {spec.stable != nullptr, "stable"},
+      {spec.spans.has_value(), "spans"},
+      {spec.slo.has_value(), "slo"},
+      {spec.exemplars.has_value(), "exemplars"},
+      {spec.tenant_slos, "tenant_slos"},
+  };
+  for (const auto& [named, field] : needs_front_end) {
+    if (named) {
+      return InvalidArgumentError(StrFormat(
+          "deployment: %s needs a front end, and closed-loop serving has none",
+          field));
+    }
+  }
+  return Status::Ok();
+}
+
+// The first of shard `s`'s tasks (the rules are in deployment.h's file
+// comment).
+int FirstTask(const ClosedLoopSource& loop, size_t s) {
+  return loop.first_task + static_cast<int>(s) * loop.tasks_per_shard;
+}
+
+// Queues shard `s`'s task slice and picks its scavengers.
+void LoadClosedLoopShard(const workloads::SimWorkload& workload,
+                         const ClosedLoopSource& loop, size_t shards, size_t s,
+                         adapt::ServerGroup& group) {
+  const int first = FirstTask(loop, s);
+  for (int task = first; task < first + loop.tasks_per_shard; ++task) {
+    group.AddTask(s, workload.SetupFor(task));
+  }
+  if (loop.batch != nullptr) {
+    group.SetScavengerBinary(s, loop.batch);
+    group.SetScavengerFactory(s, loop.batch_factory);
+    return;
+  }
+  int next = FirstTask(loop, shards) + static_cast<int>(s) * 100000;
+  group.SetScavengerFactory(
+      s, [&workload, next]() mutable
+             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+        return workload.SetupFor(next++);
+      });
+}
+
 }  // namespace
 
 Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
@@ -47,6 +108,9 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
     return InvalidArgumentError(
         "deployment: front_end.id_seed is derived per shard from "
         "arrival.seed; leave it 0");
+  }
+  if (spec.closed_loop.has_value()) {
+    YH_RETURN_IF_ERROR(ValidateClosedLoop(spec));
   }
   if (spec.slo.has_value()) {
     YH_RETURN_IF_ERROR(spec.slo->Validate());
@@ -61,6 +125,8 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
   }
 
   Deployment deployment;
+  deployment.workload_ = &workload;
+  deployment.closed_loop_ = spec.closed_loop;
   deployment.trace_ = spec.trace;
   const size_t shards = spec.group.shards;
   std::vector<sim::Machine*> machines;
@@ -83,6 +149,14 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
   };
   for (size_t s = 0; s < shards; ++s) {
     ShardParts& parts = deployment.shards_[s];
+    if (spec.profiler.has_value()) {
+      parts.profiler = std::make_unique<obs::CycleProfiler>(*spec.profiler);
+      group.SetProfiler(s, parts.profiler.get());
+    }
+    if (spec.closed_loop.has_value()) {
+      LoadClosedLoopShard(workload, *spec.closed_loop, shards, s, group);
+      continue;
+    }
     FrontEndConfig config = spec.front_end;
     config.arrival.seed += s;
     config.id_seed = config.arrival.seed;
@@ -106,10 +180,6 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
     group.SetRequestSource(s, &front);
     group.SetScavengerFactory(s, front.MakeScavengerFactory());
 
-    if (spec.profiler.has_value()) {
-      parts.profiler = std::make_unique<obs::CycleProfiler>(*spec.profiler);
-      group.SetProfiler(s, parts.profiler.get());
-    }
     if (spec.spans.has_value()) {
       parts.spans = std::make_unique<obs::SpanCollector>(*spec.spans);
       parts.spans->SetTrace(spec.trace);
@@ -137,6 +207,10 @@ Result<adapt::GroupReport> Deployment::Run() {
   if (trace_ != nullptr) {
     trace_->DrainToSink();
   }
+  if (closed_loop_.has_value()) {
+    YH_RETURN_IF_ERROR(CheckResults());
+    return report;
+  }
   for (const ShardParts& parts : shards_) {
     YH_RETURN_IF_ERROR(parts.front_end->status());
     if (parts.spans != nullptr) {
@@ -147,6 +221,39 @@ Result<adapt::GroupReport> Deployment::Run() {
     }
   }
   return report;
+}
+
+Status Deployment::CheckResults() const {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const int first = FirstTask(*closed_loop_, s);
+    for (int task = first; task < first + closed_loop_->tasks_per_shard;
+         ++task) {
+      const uint64_t got =
+          workload_->ReadResult(shards_[s].machine->memory(), task);
+      const uint64_t want = workload_->ExpectedResult(task);
+      if (got != want) {
+        return InternalError(StrFormat(
+            "deployment: shard %zu task %d computed %llu, expected %llu", s,
+            task, static_cast<unsigned long long>(got),
+            static_cast<unsigned long long>(want)));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Result<DriftScenario> DriftScenario::Make(
+    const workloads::PhasedChase::Config& today,
+    const core::PipelineConfig& pipeline) {
+  workloads::PhasedChase::Config yesterday = today;
+  yesterday.severity = 0.0;
+  YH_ASSIGN_OR_RETURN(workloads::PhasedChase twin,
+                      workloads::PhasedChase::Make(yesterday));
+  YH_ASSIGN_OR_RETURN(core::PipelineArtifacts stale,
+                      core::BuildInstrumentedForWorkload(twin, pipeline));
+  YH_ASSIGN_OR_RETURN(workloads::PhasedChase chase,
+                      workloads::PhasedChase::Make(today));
+  return DriftScenario{std::move(twin), std::move(stale), std::move(chase)};
 }
 
 obs::DiffEngine BuildDiffEngine(const Deployment& deployment,
