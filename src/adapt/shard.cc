@@ -133,9 +133,9 @@ std::unique_ptr<pmu::SamplingSession> Shard::MakeSession(
   pmu::SessionConfig session_config = profile::MakeSessionConfig(sampling);
   session_config.enable_lbr = false;  // block re-profiling is an open item
   auto session = std::make_unique<pmu::SamplingSession>(session_config);
-  // Trace only: the shard aggregates sampling metrics itself, because a
-  // session's absolute counters restart at zero on every period rescale.
-  session->SetObservability(trace_, nullptr);
+  // The shard publishes the sampling metrics itself, because a session's
+  // counters restart at zero on every period rescale.
+  session->SetTrace(trace_);
   return session;
 }
 

@@ -32,11 +32,4 @@ std::vector<LbrSnapshot> LbrRecorder::DrainSnapshots() {
   return out;
 }
 
-void LbrRecorder::Reset() {
-  ring_.clear();
-  last_branch_cycle_ = 0;
-  branches_seen_ = 0;
-  snapshots_.clear();
-}
-
 }  // namespace yieldhide::pmu

@@ -15,14 +15,12 @@ namespace yieldhide::pmu {
 // families the paper proposes combining (§3.2): precise load events at each
 // cache level plus an execution-stall counter.
 enum class HwEvent : uint8_t {
-  kLoadsL1Miss,   // retired loads that missed L1 (served by L2 or beyond)
-  kLoadsL2Miss,   // retired loads that missed L2 (served by L3 or DRAM)
-  kLoadsL3Miss,   // retired loads that missed L3 (served by DRAM)
-  kStallCycles,   // execution-stall cycles (memory waits)
-  kRetiredInstructions,
+  kLoadsL1Miss,   // MEM_LOAD_RETIRED.L1_MISS: loads served by L2 or beyond
+  kLoadsL2Miss,   // MEM_LOAD_RETIRED.L2_MISS: loads served by L3 or DRAM
+  kLoadsL3Miss,   // MEM_LOAD_RETIRED.L3_MISS: loads served by DRAM
+  kStallCycles,   // CYCLE_ACTIVITY.STALLS_MEM_ANY: memory-wait cycles
+  kRetiredInstructions,  // INST_RETIRED.ANY
 };
-
-const char* HwEventName(HwEvent event);
 
 // One PEBS-style precise sample. For load events `ip` is the (possibly
 // skidded) address of the sampled load and `vaddr`/`level` describe the

@@ -35,12 +35,6 @@ void SamplingSession::DetachFrom(sim::Machine& machine) {
   }
 }
 
-void SamplingSession::SetObservability(obs::TraceRecorder* trace,
-                                       obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  metrics_ = metrics;
-}
-
 std::vector<PebsSample> SamplingSession::DrainAllSamples() {
   std::vector<PebsSample> all;
   for (auto& sampler : pebs_) {
@@ -54,26 +48,7 @@ std::vector<PebsSample> SamplingSession::DrainAllSamples() {
                      static_cast<uint64_t>(sample.event));
     }
   }
-  PublishMetrics();
   return all;
-}
-
-void SamplingSession::PublishMetrics() {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  for (const auto& sampler : pebs_) {
-    const obs::Labels labels{{"event", HwEventName(sampler->config().event)}};
-    metrics_->GetCounter("yh_pmu_samples_taken_total", labels)
-        ->Set(sampler->samples_taken());
-    metrics_->GetCounter("yh_pmu_samples_dropped_total", labels)
-        ->Set(sampler->samples_dropped());
-    metrics_->GetCounter("yh_pmu_events_total", labels)
-        ->Set(sampler->event_count());
-    metrics_->GetGauge("yh_pmu_sampling_period", labels)
-        ->Set(static_cast<double>(sampler->config().period));
-  }
-  metrics_->GetCounter("yh_pmu_overhead_cycles_total")->Set(OverheadCycles());
 }
 
 std::vector<LbrSnapshot> SamplingSession::DrainLbrSnapshots() {
@@ -96,15 +71,6 @@ double SamplingSession::OverheadFraction(uint64_t run_cycles) const {
     return 0.0;
   }
   return static_cast<double>(OverheadCycles()) / static_cast<double>(run_cycles);
-}
-
-void SamplingSession::Reset() {
-  for (auto& sampler : pebs_) {
-    sampler->Reset();
-  }
-  if (lbr_ != nullptr) {
-    lbr_->Reset();
-  }
 }
 
 }  // namespace yieldhide::pmu

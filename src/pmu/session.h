@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pmu/lbr.h"
 #include "src/pmu/pebs.h"
@@ -40,16 +39,10 @@ class SamplingSession {
   size_t pebs_count() const { return pebs_.size(); }
   LbrRecorder* lbr() { return lbr_.get(); }
 
-  // Attaches a flight recorder and/or metrics registry (either may be null).
-  // Each drained sample becomes a kPmuSample trace event (kTracePmu category,
-  // off in the default runtime mask because it fires at sample rate); the
-  // registry gets per-event sample/drop counters and the current sampling
-  // period as a gauge at every drain. A caller that replaces sessions mid-run
-  // (the online adaptation loop resizing periods) should pass metrics=nullptr
-  // and aggregate across sessions itself — the published values are absolute
-  // per session and would step backwards on replacement.
-  void SetObservability(obs::TraceRecorder* trace,
-                        obs::MetricsRegistry* metrics);
+  // Attaches a flight recorder (may be null). Each drained sample becomes a
+  // kPmuSample trace event (kTracePmu category, off in the default runtime
+  // mask because it fires at sample rate).
+  void SetTrace(obs::TraceRecorder* trace) { trace_ = trace; }
 
   // Drains every sampler into one combined sample vector.
   std::vector<PebsSample> DrainAllSamples();
@@ -60,16 +53,11 @@ class SamplingSession {
   uint64_t OverheadCycles() const;
   double OverheadFraction(uint64_t run_cycles) const;
 
-  void Reset();
-
  private:
-  void PublishMetrics();
-
   SessionConfig config_;
   std::vector<std::unique_ptr<PebsSampler>> pebs_;
   std::unique_ptr<LbrRecorder> lbr_;
   obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace yieldhide::pmu

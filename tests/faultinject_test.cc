@@ -184,7 +184,7 @@ TEST(CorruptSamplesTest, PeriodAliasLocksEachEventToOneIp) {
     ips_per_event[s.event].insert(s.ip);
   }
   for (const auto& [event, ips] : ips_per_event) {
-    EXPECT_EQ(ips.size(), 1u) << pmu::HwEventName(event);
+    EXPECT_EQ(ips.size(), 1u) << "event " << static_cast<int>(event);
   }
 }
 

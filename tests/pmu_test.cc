@@ -114,18 +114,6 @@ TEST(PebsTest, NoSkidWhenDisabled) {
   EXPECT_EQ(sampler.Drain()[0].ip, 10u);
 }
 
-TEST(PebsTest, ResetRestartsCounting) {
-  PebsConfig config;
-  config.event = HwEvent::kLoadsL2Miss;
-  config.period = 2;
-  PebsSampler sampler(config);
-  sampler.OnLoad(0, 1, 0, sim::HitLevel::kDram, false, 200, 0);
-  sampler.Reset();
-  EXPECT_EQ(sampler.event_count(), 0u);
-  sampler.OnLoad(0, 1, 0, sim::HitLevel::kDram, false, 200, 0);
-  EXPECT_EQ(sampler.samples_taken(), 0u);  // period 2 not yet reached
-}
-
 // --- LBR -----------------------------------------------------------------------
 
 TEST(LbrTest, RecordsTakenBranchesWithCycleDeltas) {
@@ -233,19 +221,6 @@ TEST(SessionTest, EndToEndSamplingOfMissLoop) {
   EXPECT_GT(session.OverheadCycles(), 0u);
   EXPECT_GT(session.OverheadFraction(machine.now()), 0.0);
   EXPECT_LT(session.OverheadFraction(machine.now()), 0.25);
-}
-
-TEST(SessionTest, ResetClearsAllSamplers) {
-  SessionConfig config;
-  PebsConfig pc;
-  pc.event = HwEvent::kRetiredInstructions;
-  pc.period = 1;
-  config.pebs.push_back(pc);
-  SamplingSession session(config);
-  session.pebs(0).OnRetired(0, 1, isa::Opcode::kNop, 0);
-  session.Reset();
-  EXPECT_EQ(session.DrainAllSamples().size(), 0u);
-  EXPECT_EQ(session.OverheadCycles(), 0u);
 }
 
 }  // namespace
