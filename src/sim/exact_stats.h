@@ -43,6 +43,9 @@ class ExactStats : public EventListener {
     }
   };
 
+  ExactStats()
+      : EventListener(MaskOf({Event::kRetired, Event::kLoad, Event::kStall})) {}
+
   void OnRetired(int ctx_id, isa::Addr ip, isa::Opcode op, uint64_t cycle) override;
   void OnLoad(int ctx_id, isa::Addr ip, uint64_t vaddr, HitLevel level,
               bool hit_inflight, uint32_t stall_cycles, uint64_t cycle) override;

@@ -54,6 +54,9 @@ TEST(MachineTest, ResetKeepsDataMemory) {
 
 class CountingListener : public sim::EventListener {
  public:
+  CountingListener() = default;  // declares nothing, so gets every event
+  explicit CountingListener(sim::EventMask events) : EventListener(events) {}
+
   int retired = 0, loads = 0, stalls = 0, branches = 0, prefetches = 0, yields = 0;
   void OnRetired(int, isa::Addr, isa::Opcode, uint64_t) override { ++retired; }
   void OnLoad(int, isa::Addr, uint64_t, sim::HitLevel, bool, uint32_t,
@@ -88,6 +91,119 @@ TEST(MulticastListenerTest, FansOutEveryEventToEveryListener) {
   EXPECT_EQ(fanout.size(), 2u);
   fanout.Clear();
   EXPECT_EQ(fanout.size(), 0u);
+}
+
+// Wants one retirement in `every`, counted down by the bus.
+class EveryNthRetirement : public sim::EventListener {
+ public:
+  explicit EveryNthRetirement(uint64_t every)
+      : EventListener(sim::MaskOf({sim::Event::kRetired})), every_(every) {
+    countdown_ = every;
+  }
+  void OnRetired(int, isa::Addr, isa::Opcode, uint64_t) override {
+    ++calls;
+    countdown_ = every_;
+  }
+  uint64_t countdown() const { return countdown_; }
+
+  int calls = 0;
+
+ private:
+  uint64_t every_;
+};
+
+void RaiseEachEvent(sim::MulticastListener& bus) {
+  bus.OnRetired(0, 1, isa::Opcode::kNop, 0);
+  bus.OnLoad(0, 1, 0, sim::HitLevel::kL1, false, 0, 0);
+  bus.OnStall(0, 1, 5, 0);
+  bus.OnBranch(0, 1, 2, true, 0);
+  bus.OnPrefetch(0, 1, 0, 0);
+  bus.OnYield(0, 1, false, 0);
+}
+
+TEST(MulticastListenerTest, MaskedListenerGetsOnlyItsEvents) {
+  sim::MulticastListener bus;
+  CountingListener masked(sim::MaskOf({sim::Event::kLoad, sim::Event::kYield}));
+  CountingListener everything;
+  bus.Add(&masked);
+  bus.Add(&everything);
+  RaiseEachEvent(bus);
+  EXPECT_EQ(masked.loads, 1);
+  EXPECT_EQ(masked.yields, 1);
+  EXPECT_EQ(masked.retired + masked.stalls + masked.branches + masked.prefetches, 0);
+  for (const int count : {everything.retired, everything.loads, everything.stalls,
+                          everything.branches, everything.prefetches, everything.yields}) {
+    EXPECT_EQ(count, 1);
+  }
+}
+
+TEST(MulticastListenerTest, CountdownSubscriberIsCalledOnlyAtZero) {
+  sim::MulticastListener bus;
+  EveryNthRetirement every_fifth(5);
+  bus.Add(&every_fifth);
+  for (int i = 0; i < 12; ++i) {
+    bus.OnRetired(0, 1, isa::Opcode::kNop, 0);
+  }
+  EXPECT_EQ(every_fifth.calls, 2);
+  EXPECT_EQ(every_fifth.countdown(), 3u);  // two retirements into the third gap
+}
+
+TEST(MulticastListenerTest, RemovedCountdownStopsMoving) {
+  sim::MulticastListener bus;
+  EveryNthRetirement every_fifth(5);
+  CountingListener other;
+  bus.Add(&every_fifth);
+  bus.Add(&other);
+  bus.OnRetired(0, 1, isa::Opcode::kNop, 0);
+  bus.Remove(&every_fifth);
+  for (int i = 0; i < 10; ++i) {
+    RaiseEachEvent(bus);
+  }
+  EXPECT_EQ(every_fifth.countdown(), 4u);
+  EXPECT_EQ(every_fifth.calls, 0);
+  EXPECT_EQ(other.retired, 11);
+  EXPECT_EQ(bus.size(), 1u);
+}
+
+TEST(MulticastListenerTest, ClearEmptiesEveryList) {
+  sim::MulticastListener bus;
+  EveryNthRetirement every_other(2);
+  CountingListener masked(sim::MaskOf({sim::Event::kBranch}));
+  CountingListener everything;
+  bus.Add(&every_other);
+  bus.Add(&masked);
+  bus.Add(&everything);
+  bus.Clear();
+  RaiseEachEvent(bus);
+  RaiseEachEvent(bus);
+  EXPECT_EQ(every_other.countdown(), 2u);
+  EXPECT_EQ(masked.branches, 0);
+  EXPECT_EQ(everything.retired + everything.loads + everything.stalls +
+                everything.branches + everything.prefetches + everything.yields,
+            0);
+  EXPECT_EQ(bus.size(), 0u);
+}
+
+TEST(MulticastListenerTest, CopyKeepsRouting) {
+  sim::MulticastListener bus;
+  EveryNthRetirement every_third(3);
+  CountingListener masked(sim::MaskOf({sim::Event::kStall}));
+  bus.Add(&every_third);
+  bus.Add(&masked);
+  const sim::MulticastListener copy = bus;
+  sim::MulticastListener assigned;
+  assigned = bus;
+  bus.Clear();  // the copies keep their own lists
+  for (sim::MulticastListener routed : {copy, assigned}) {
+    RaiseEachEvent(routed);
+    RaiseEachEvent(routed);
+    RaiseEachEvent(routed);
+  }
+  EXPECT_EQ(every_third.calls, 2);
+  EXPECT_EQ(masked.stalls, 6);
+  EXPECT_EQ(masked.retired + masked.loads + masked.branches + masked.prefetches +
+                masked.yields,
+            0);
 }
 
 // --- ExactStats rendering ------------------------------------------------------------

@@ -280,6 +280,31 @@ TEST_F(CollectorTest, ListenersRestoredAfterCollection) {
   EXPECT_EQ(machine_->listeners().size(), before);
 }
 
+TEST_F(CollectorTest, PreAttachedListenerStaysAttachedAndFed) {
+  sim::ExactStats exact;
+  machine_->listeners().Add(&exact);
+  auto setup = [](sim::CpuContext& ctx) {
+    ctx.regs[1] = 0x100000;
+    ctx.regs[2] = 10;
+  };
+  auto result = CollectProfile(program_, *machine_, setup, CollectorConfig{});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(exact.total_instructions(), result->run_instructions);
+  EXPECT_EQ(machine_->listeners().size(), 1u);
+
+  // The restored bus still routes every event ExactStats declares to it.
+  const uint64_t loads = exact.total_loads();
+  const uint64_t stalls = exact.total_stall_cycles();
+  sim::Executor executor(&program_, machine_.get());
+  sim::CpuContext ctx;
+  ctx.ResetArchState(program_.entry());
+  setup(ctx);
+  ASSERT_TRUE(executor.RunToCompletion(ctx, 100'000).ok());
+  EXPECT_EQ(exact.total_instructions(), result->run_instructions + ctx.instructions);
+  EXPECT_EQ(exact.total_loads(), loads + ctx.loads);
+  EXPECT_EQ(exact.total_stall_cycles(), stalls + ctx.stall_cycles);
+}
+
 TEST_F(CollectorTest, RunBudgetEnforced) {
   CollectorConfig config;
   config.max_instructions = 50;
