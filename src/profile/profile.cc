@@ -111,7 +111,12 @@ std::vector<isa::Addr> LoadProfile::LikelyStallLoads(double min_miss_probability
     out.push_back(ip);
   }
   std::sort(out.begin(), out.end(), [this](isa::Addr a, isa::Addr b) {
-    return ForIp(a).est_stall_cycles > ForIp(b).est_stall_cycles;
+    const double stall_a = ForIp(a).est_stall_cycles;
+    const double stall_b = ForIp(b).est_stall_cycles;
+    if (stall_a != stall_b) {
+      return stall_a > stall_b;
+    }
+    return a < b;
   });
   return out;
 }

@@ -95,7 +95,7 @@ class LoadProfile {
   // The §3.2 correlation step: IPs whose estimated L2-miss probability is at
   // least `min_miss_probability` AND which account for at least
   // `min_stall_share` of the total estimated stall cycles. Sorted by
-  // descending stall contribution.
+  // descending stall contribution, ties by ascending IP.
   std::vector<isa::Addr> LikelyStallLoads(double min_miss_probability,
                                           double min_stall_share) const;
 

@@ -60,7 +60,10 @@ std::vector<isa::Addr> ExactStats::HottestIps(size_t limit) const {
     }
   }
   std::sort(ips.begin(), ips.end(), [this](isa::Addr a, isa::Addr b) {
-    return per_ip_[a].stall_cycles > per_ip_[b].stall_cycles;
+    if (per_ip_[a].stall_cycles != per_ip_[b].stall_cycles) {
+      return per_ip_[a].stall_cycles > per_ip_[b].stall_cycles;
+    }
+    return a < b;
   });
   if (ips.size() > limit) {
     ips.resize(limit);

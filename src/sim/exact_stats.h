@@ -58,7 +58,8 @@ class ExactStats : public EventListener {
   uint64_t total_stall_cycles() const { return total_stall_cycles_; }
   uint64_t total_loads() const { return total_loads_; }
 
-  // IPs sorted by descending stall cycles (the "hottest" miss sites).
+  // IPs sorted by descending stall cycles (the "hottest" miss sites), ties
+  // by ascending IP.
   std::vector<isa::Addr> HottestIps(size_t limit) const;
 
   void Reset();

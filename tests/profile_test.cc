@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/isa/assembler.h"
 #include "src/profile/collector.h"
 #include "src/profile/profile.h"
@@ -77,6 +81,37 @@ TEST(LoadProfileTest, LikelyStallLoadsFiltersAndSorts) {
                                          /*min_stall_share=*/0.05);
   ASSERT_EQ(likely.size(), 1u);
   EXPECT_EQ(likely[0], 1u);
+}
+
+TEST(LoadProfileTest, LikelyStallLoadsBreaksTiesByIp) {
+  // 24 sites tie on estimated stall cycles and are added in shuffled order.
+  // std::sort may reorder equal keys once it sorts more than 16 elements, so
+  // the ranking has to break ties itself.
+  std::vector<isa::Addr> tied;
+  for (isa::Addr ip = 100; ip < 124; ++ip) {
+    tied.push_back(ip);
+  }
+  Rng rng(5);
+  for (size_t i = tied.size() - 1; i > 0; --i) {
+    std::swap(tied[i], tied[rng.NextBelow(i + 1)]);
+  }
+  LoadProfile profile;
+  SiteProfile site;
+  site.est_executions = 10;
+  site.est_l2_misses = 10;
+  site.est_stall_cycles = 500;
+  for (isa::Addr ip : tied) {
+    profile.AccumulateSite(ip, site);
+  }
+  site.est_stall_cycles = 900;
+  profile.AccumulateSite(3, site);
+  std::vector<isa::Addr> want = {3};
+  for (isa::Addr ip = 100; ip < 124; ++ip) {
+    want.push_back(ip);
+  }
+  EXPECT_EQ(profile.LikelyStallLoads(/*min_miss_probability=*/0.5,
+                                     /*min_stall_share=*/0.0),
+            want);
 }
 
 TEST(LoadProfileTest, MergeAddsSites) {
