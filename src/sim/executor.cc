@@ -123,6 +123,9 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
     }
     case Opcode::kPrefetch: {
       const uint64_t vaddr = regs[insn.rs1] + static_cast<uint64_t>(insn.imm);
+      // The host hides its own miss the way the program hides the simulated
+      // one: the read this PREFETCH announces comes after other work.
+      machine_->memory().HostPrefetch(vaddr);
       machine_->hierarchy().Prefetch(vaddr, now);
       result.issue_cycles = cost.prefetch_cycles;
       machine_->listeners().OnPrefetch(ctx.id, ip, vaddr, now);
