@@ -20,9 +20,10 @@ function(yh_bench name)
     set(workdir ${CMAKE_BINARY_DIR}/golden/${name})
     file(MAKE_DIRECTORY ${workdir})
     add_test(NAME golden.${name}
-      COMMAND ${CMAKE_COMMAND} -DBENCH=$<TARGET_FILE:${name}>
+      COMMAND ${CMAKE_COMMAND} -DCOMMAND=$<TARGET_FILE:${name}>
+              "-DARGS=--json out.json" -DOUTPUT=out.json
               -DGOLDEN=${CMAKE_SOURCE_DIR}/bench/golden/${name}.json
-              -P ${CMAKE_SOURCE_DIR}/bench/golden/check.cmake
+              -P ${CMAKE_SOURCE_DIR}/cmake/check_golden.cmake
       WORKING_DIRECTORY ${workdir})
     set_tests_properties(golden.${name} PROPERTIES LABELS golden)
   endif()
