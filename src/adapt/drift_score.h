@@ -42,8 +42,9 @@ struct DriftScore {
 // `reference`: the load profile the current binary was instrumented from
 // (original-binary addresses). `online`: the decayed online profile (same
 // address space). `instrumented_sites`: original load site → yield address
-// for the current binary (adapt::PrimaryYieldsByOriginalSite). `site_stats`:
-// the scheduler's live quarantine accounting, keyed by yield address.
+// for the current binary (instrument::PrimaryYieldsByOriginalSite).
+// `site_stats`: the scheduler's live quarantine accounting, keyed by yield
+// address.
 DriftScore ComputeDriftScore(
     const profile::LoadProfile& reference, const profile::LoadProfile& online,
     const std::map<isa::Addr, isa::Addr>& instrumented_sites,

@@ -11,7 +11,7 @@ void OnlineProfile::BeginEpoch() {
 
 void OnlineProfile::ObserveSamples(const std::vector<pmu::PebsSample>& samples,
                                    const profile::SamplePeriods& periods,
-                                   const ReverseAddrMap& backmap,
+                                   const instrument::ReverseAddrMap& backmap,
                                    profile::LoadProfile* epoch_evidence) {
   std::vector<pmu::PebsSample> translated;
   translated.reserve(samples.size());

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "src/adapt/backmap.h"
+#include "src/instrument/backmap.h"
 #include "src/pmu/sample.h"
 #include "src/profile/profile.h"
 
@@ -42,7 +42,7 @@ class OnlineProfile {
   // every prior epoch at each merge).
   void ObserveSamples(const std::vector<pmu::PebsSample>& samples,
                       const profile::SamplePeriods& periods,
-                      const ReverseAddrMap& backmap,
+                      const instrument::ReverseAddrMap& backmap,
                       profile::LoadProfile* epoch_evidence = nullptr);
 
   // The accumulated evidence, in original-binary addresses.
