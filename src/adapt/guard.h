@@ -11,7 +11,7 @@
 //      |  |    window elapsed,     | regressed vs baseline             v
 //      |  +--- rollback + poison <-+                               [promote]
 //      |       (reinstall last good, quarantine generation,           |
-//      |        fingerprint -> poison registry)                       |
+//      |        evidence fingerprint blocked from rebuilds)           |
 //      +---- fresh generation spreads to peers via the reuse path <---+
 //
 // While a canary is in flight every other swap is frozen, so a regressed
@@ -85,10 +85,10 @@ struct GuardEvent {
   std::string ToString() const;
 };
 
-// Identity of an evidence profile for the poison registry: a hash of the
-// top-K sites by stall contribution. Deliberately insensitive to decay and
-// to small-site churn (mass scaling keeps the same top sites), so the
-// registry still recognises "the same bad profile" an epoch later — while
+// Identity of an evidence profile for ServerGroup's rebuild block: a hash of
+// the top-K sites by stall contribution. Deliberately insensitive to decay
+// and to small-site churn (mass scaling keeps the same top sites), so the
+// block still recognises "the same bad profile" an epoch later — while
 // genuinely new evidence (a phase change, repaired backmap) changes the top
 // set and clears the block.
 uint64_t FingerprintLoads(const profile::LoadProfile& loads,

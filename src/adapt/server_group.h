@@ -36,10 +36,14 @@
 
 namespace yieldhide::adapt {
 
-// Decides which shard (if any) swaps this group epoch. Mirrors the
-// single-server cool-down semantics exactly — per shard, a swap is eligible
-// only when strictly more than kMinEpochsBetweenSwaps boundaries have passed
-// since that shard's last install — and adds the group-level stagger:
+// Cool-down: group epochs that must pass after a shard's swap before its
+// next one, so the loop cannot thrash while fresh evidence is still
+// accumulating.
+inline constexpr int kMinEpochsBetweenSwaps = 2;
+
+// Decides which shard (if any) swaps this group epoch. Per shard, a swap is
+// eligible only when strictly more than kMinEpochsBetweenSwaps boundaries
+// have passed since that shard's last install; on top of that cool-down,
 // eligible shards queue FIFO and at most one dequeues per epoch, so no two
 // shards ever rebuild or install in the same epoch.
 class StaggerPolicy {

@@ -384,7 +384,7 @@ TEST(ServingFaultsTest, CorruptStoreFileIsDeterministicAndRejectedAtLoad) {
 
 // --- AdaptController quarantine ---------------------------------------------------
 
-TEST(ControllerQuarantineTest, RevertsReferenceAndPoisonsFingerprint) {
+TEST(ControllerQuarantineTest, RevertsReferenceToNewestHealthyGeneration) {
   auto twin = SmallPhased(0.0);
   auto config = SmallPipeline();
   AdaptControllerConfig controller_config;
@@ -400,21 +400,15 @@ TEST(ControllerQuarantineTest, RevertsReferenceAndPoisonsFingerprint) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(controller.current_generation().id, 1);
 
-  const uint64_t fingerprint = 0xdeadbeefcafef00dull;
-  controller.QuarantineGeneration(1, fingerprint);
-  // The reference reverts to the newest healthy generation...
+  controller.QuarantineGeneration(1);
+  // The reference reverts to the newest healthy generation.
   EXPECT_EQ(controller.current_generation().id, 0);
   EXPECT_TRUE(controller.generation(1).quarantined);
   EXPECT_EQ(controller.quarantined_generations(), 1);
-  // ...and the evidence that built the bad binary is poisoned.
-  EXPECT_TRUE(controller.IsPoisonedProfile(fingerprint));
-  EXPECT_FALSE(controller.IsPoisonedProfile(fingerprint + 1));
-  EXPECT_EQ(controller.poisoned_profiles(), 1u);
 
   // Quarantining the same generation again is not a second incident.
-  controller.QuarantineGeneration(1, fingerprint);
+  controller.QuarantineGeneration(1);
   EXPECT_EQ(controller.quarantined_generations(), 1);
-  EXPECT_EQ(controller.poisoned_profiles(), 1u);
 }
 
 // --- guarded ServerGroup end-to-end -----------------------------------------------
@@ -512,7 +506,6 @@ TEST(GuardedServerGroupTest, RegressingGenerationRollsBackAndQuarantines) {
   // The cursed generation was caught on the canary shard and rolled back.
   EXPECT_GE(report->rollbacks, 1);
   EXPECT_GE(group.controller().quarantined_generations(), 1);
-  EXPECT_GE(group.controller().poisoned_profiles(), 1u);
   // Exposure bound: a rolled-back generation never installed on a second
   // shard — its id appears in the swap log at most for the canary install
   // plus the rollback reinstall on the SAME shard.
