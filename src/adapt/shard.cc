@@ -139,8 +139,7 @@ std::unique_ptr<pmu::SamplingSession> Shard::MakeSession(
   return session;
 }
 
-void Shard::OpenBoundary(bool adapting, profile::LoadProfile* epoch_evidence) {
-  (void)adapting;
+void Shard::OpenBoundary(profile::LoadProfile* epoch_evidence) {
   const uint64_t overhead_total = overhead_base_ + session_->OverheadCycles();
   const uint64_t overhead_delta = overhead_total - charged_overhead_;
   charged_overhead_ = overhead_total;
@@ -247,10 +246,8 @@ void Shard::FoldTenantSamples(const std::vector<pmu::PebsSample>& samples) {
 }
 
 Result<Shard::EpochOutcome> Shard::RunEpochTasks(
-    bool adapting, profile::LoadProfile* epoch_evidence) {
-  const size_t tasks_per_epoch =
-      config_.tasks_per_epoch < 1 ? 1
-                                  : static_cast<size_t>(config_.tasks_per_epoch);
+    profile::LoadProfile* epoch_evidence) {
+  const size_t tasks_per_epoch = static_cast<size_t>(config_.tasks_per_epoch);
   size_t done = 0;
   while (done < tasks_per_epoch) {
     if (scheduler_->pending_tasks() == 0 && request_source_ != nullptr) {
@@ -285,7 +282,7 @@ Result<Shard::EpochOutcome> Shard::RunEpochTasks(
     // trailing partial epoch (telemetry-only).
     return outcome;
   }
-  OpenBoundary(adapting, epoch_evidence);
+  OpenBoundary(epoch_evidence);
   outcome.boundary = true;
   outcome.score.appearance = epoch_.drift_appearance;
   outcome.score.divergence = epoch_.drift_divergence;
@@ -464,11 +461,9 @@ Result<AdaptReport> Shard::Finish(const AdaptController& controller) {
     return swap_status_;
   }
   // Telemetry for a trailing partial epoch.
-  const size_t tasks_per_epoch =
-      config_.tasks_per_epoch < 1 ? 1
-                                  : static_cast<size_t>(config_.tasks_per_epoch);
+  const size_t tasks_per_epoch = static_cast<size_t>(config_.tasks_per_epoch);
   if (report_.run.run.completions.size() % tasks_per_epoch != 0) {
-    OpenBoundary(/*adapting=*/false, nullptr);
+    OpenBoundary(nullptr);
     FinishEpochBoundary(/*adapting=*/false, controller);
   }
 

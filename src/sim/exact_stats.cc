@@ -71,13 +71,6 @@ std::vector<isa::Addr> ExactStats::HottestIps(size_t limit) const {
   return ips;
 }
 
-void ExactStats::Reset() {
-  per_ip_.clear();
-  total_instructions_ = 0;
-  total_stall_cycles_ = 0;
-  total_loads_ = 0;
-}
-
 std::string ExactStats::Summary(size_t top_n) const {
   std::string out = StrFormat("instructions=%s loads=%s stall_cycles=%s\n",
                               WithCommas(total_instructions_).c_str(),

@@ -62,8 +62,6 @@ class ExactStats : public EventListener {
   // by ascending IP.
   std::vector<isa::Addr> HottestIps(size_t limit) const;
 
-  void Reset();
-
   std::string Summary(size_t top_n = 5) const;
 
  private:
