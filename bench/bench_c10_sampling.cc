@@ -32,14 +32,7 @@ SampleQuality ProfileWith(const workloads::PointerChase& workload, uint64_t peri
   sim::ExactStats exact;
   machine.listeners().Add(&exact);
 
-  profile::CollectorConfig config;
-  config.l2_miss_period = period;
-  config.stall_cycles_period = period * 7;
-  config.retired_period = period * 2 + 1;
-  // Deterministic periods alias against loop lengths (a fixed period that is
-  // a multiple of the loop length samples the same IP forever); jitter the
-  // gaps like production profilers do.
-  config.period_jitter = 0.1;
+  profile::CollectorConfig config = profile::CollectorForPeriod(period);
   config.max_skid = skid;
   config.skid_probability = skid_probability;
   auto result =

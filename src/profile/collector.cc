@@ -2,6 +2,15 @@
 
 namespace yieldhide::profile {
 
+CollectorConfig CollectorForPeriod(uint64_t l2_miss_period) {
+  CollectorConfig config;
+  config.l2_miss_period = l2_miss_period;
+  config.stall_cycles_period = l2_miss_period * 7;
+  config.retired_period = l2_miss_period * 2 + 1;
+  config.period_jitter = 0.1;
+  return config;
+}
+
 pmu::SessionConfig MakeSessionConfig(const CollectorConfig& config) {
   pmu::SessionConfig session;
   auto add = [&](pmu::HwEvent event, uint64_t period) {

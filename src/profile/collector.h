@@ -53,6 +53,13 @@ Result<CollectResult> CollectProfile(const isa::Program& program, sim::Machine& 
                                      const std::function<void(sim::CpuContext&)>& setup,
                                      const CollectorConfig& config);
 
+// The sampling setup scaled from one L2-miss period (`yhc profile`, `yhc
+// chaos` and C10): stall cycles every 7x the period, retired instructions
+// every 2x+1, and 10% jitter on every gap, because deterministic periods
+// alias against loop lengths (a fixed period that is a multiple of the loop
+// length samples the same IP forever).
+CollectorConfig CollectorForPeriod(uint64_t l2_miss_period);
+
 // Builds the pmu::SessionConfig / SamplePeriods pair implied by a
 // CollectorConfig (exposed for tests and custom drivers).
 pmu::SessionConfig MakeSessionConfig(const CollectorConfig& config);
