@@ -1,10 +1,8 @@
 #include "src/faultinject/profile_faults.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/rng.h"
-#include "src/common/strings.h"
 
 namespace yieldhide::faultinject {
 namespace {
@@ -27,127 +25,6 @@ Rng AddrRng(uint64_t seed, uint64_t addr) {
 uint64_t SkidSpan(double severity) {
   return 1 + static_cast<uint64_t>(severity * 15.0);
 }
-
-// Constant address shift emulating a text segment that moved between
-// profile collection and instrumentation.
-isa::Addr StaleShift(double severity) {
-  return 1 + static_cast<isa::Addr>(std::lround(severity * 7.0));
-}
-
-constexpr size_t kDropBurstLength = 64;  // samples lost per buffer overflow
-
-}  // namespace
-
-std::string SampleFaultStats::ToString() const {
-  return StrFormat(
-      "fault: in=%llu aliased=%llu skidded=%llu dropped=%llu locked=%llu",
-      static_cast<unsigned long long>(samples_in),
-      static_cast<unsigned long long>(samples_aliased),
-      static_cast<unsigned long long>(samples_skidded),
-      static_cast<unsigned long long>(samples_dropped),
-      static_cast<unsigned long long>(samples_locked));
-}
-
-std::vector<pmu::PebsSample> CorruptSamples(std::vector<pmu::PebsSample> samples,
-                                            const FaultSpec& spec,
-                                            isa::Addr code_size,
-                                            SampleFaultStats* stats) {
-  SampleFaultStats local;
-  SampleFaultStats& s = stats != nullptr ? *stats : local;
-  s.samples_in += samples.size();
-  Rng rng(spec.seed);
-  const double sev = spec.severity;
-
-  switch (spec.fault) {
-    case FaultClass::kIpAlias: {
-      const isa::Addr limit = AliasLimit(code_size);
-      for (pmu::PebsSample& sample : samples) {
-        if (rng.NextBool(sev)) {
-          sample.ip = static_cast<isa::Addr>(rng.NextBelow(limit));
-          ++s.samples_aliased;
-        }
-      }
-      break;
-    }
-    case FaultClass::kSkidStorm: {
-      const uint64_t span = SkidSpan(sev);
-      for (pmu::PebsSample& sample : samples) {
-        if (rng.NextBool(sev)) {
-          sample.ip += static_cast<isa::Addr>(1 + rng.NextBelow(span));
-          ++s.samples_skidded;
-        }
-      }
-      break;
-    }
-    case FaultClass::kBufferDrop: {
-      // Losses are bursty: whole PEBS buffers vanish when the drain falls
-      // behind, not individual records. Mark enough burst windows to drop
-      // roughly `severity` of the stream.
-      if (samples.empty() || sev <= 0) {
-        break;
-      }
-      const size_t target = static_cast<size_t>(sev * samples.size());
-      const size_t bursts = (target + kDropBurstLength - 1) / kDropBurstLength;
-      std::vector<bool> drop(samples.size(), false);
-      for (size_t b = 0; b < bursts; ++b) {
-        const size_t start = rng.NextBelow(samples.size());
-        for (size_t i = start;
-             i < std::min(samples.size(), start + kDropBurstLength); ++i) {
-          drop[i] = true;
-        }
-      }
-      std::vector<pmu::PebsSample> kept;
-      kept.reserve(samples.size());
-      for (size_t i = 0; i < samples.size(); ++i) {
-        if (drop[i]) {
-          ++s.samples_dropped;
-        } else {
-          kept.push_back(samples[i]);
-        }
-      }
-      samples = std::move(kept);
-      break;
-    }
-    case FaultClass::kPeriodAlias: {
-      // Period resonance: the sampler keeps firing at the same loop phase,
-      // so one "lucky" IP per event absorbs samples that should have spread
-      // proportionally. Lock onto the first-seen IP of each event.
-      isa::Addr resonant[8];
-      bool seen[8] = {false};
-      for (pmu::PebsSample& sample : samples) {
-        const size_t ev = static_cast<size_t>(sample.event) % 8;
-        if (!seen[ev]) {
-          seen[ev] = true;
-          resonant[ev] = sample.ip;
-          continue;
-        }
-        if (rng.NextBool(sev)) {
-          sample.ip = resonant[ev];
-          ++s.samples_locked;
-        }
-      }
-      break;
-    }
-    case FaultClass::kStaleBinary: {
-      const isa::Addr shift = StaleShift(sev);
-      for (pmu::PebsSample& sample : samples) {
-        sample.ip += shift;
-      }
-      break;
-    }
-    case FaultClass::kRebuildFail:
-    case FaultClass::kBackmapCorrupt:
-    case FaultClass::kRegression:
-    case FaultClass::kShardStall:
-    case FaultClass::kStoreCorrupt:
-      // Serving-class faults target the rebuild/swap/persistence control
-      // plane (serving_faults.h), not the sample stream.
-      break;
-  }
-  return samples;
-}
-
-namespace {
 
 profile::LoadProfile CorruptLoads(const profile::LoadProfile& loads,
                                   const FaultSpec& spec, isa::Addr code_size) {
@@ -234,19 +111,14 @@ profile::LoadProfile CorruptLoads(const profile::LoadProfile& loads,
       }
       break;
     }
-    case FaultClass::kStaleBinary: {
-      const isa::Addr shift = StaleShift(sev);
-      for (const auto& [ip, site] : loads.sites()) {
-        out.AccumulateSite(ip + shift, site);
-      }
-      break;
-    }
+    case FaultClass::kStaleBinary:
     case FaultClass::kRebuildFail:
     case FaultClass::kBackmapCorrupt:
     case FaultClass::kRegression:
     case FaultClass::kShardStall:
     case FaultClass::kStoreCorrupt:
-      // Serving-class faults do not touch an offline profile.
+      // Stale drift is injected on the binary (DriftProgram), and the
+      // serving classes do not touch an offline profile.
       out = loads;
       break;
   }
@@ -271,23 +143,18 @@ profile::ProfileData CorruptProfile(const profile::ProfileData& data,
       });
       break;
     }
-    case FaultClass::kStaleBinary: {
-      const isa::Addr shift = StaleShift(spec.severity);
-      out.blocks =
-          data.blocks.Translated([&](isa::Addr addr) { return addr + shift; });
-      break;
-    }
     case FaultClass::kSkidStorm:
     case FaultClass::kBufferDrop:
     case FaultClass::kPeriodAlias:
+    case FaultClass::kStaleBinary:
     case FaultClass::kRebuildFail:
     case FaultClass::kBackmapCorrupt:
     case FaultClass::kRegression:
     case FaultClass::kShardStall:
     case FaultClass::kStoreCorrupt:
       // LBR records branch addresses precisely and rides its own buffer;
-      // these classes corrupt only the PEBS load/stall side (and the
-      // serving classes corrupt nothing offline at all).
+      // these classes corrupt only the PEBS load/stall side (and stale
+      // drift and the serving classes corrupt nothing offline at all).
       out.blocks = data.blocks;
       break;
   }

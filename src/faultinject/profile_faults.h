@@ -1,52 +1,25 @@
-// Profile-corruption injectors: deterministic models of the ways PEBS-based
+// Profile-corruption injector: a deterministic model of the ways PEBS-based
 // profiles go wrong in production (CounterPoint catalogues all four on real
-// PMUs). Two layers are provided:
+// PMUs), applied to an aggregated ProfileData. That is the layer the chaos
+// CLI and the R1 fault-matrix bench inject at, since production profiles
+// travel as aggregated files, not sample streams. Tests that harden
+// LoadProfile::AddSamples build their bad samples by hand.
 //
-//   * CorruptSamples operates on raw pmu::PebsSample streams — the layer a
-//     faulty sampler would produce — and is what tests use to drive
-//     LoadProfile::AddSamples hardening.
-//   * CorruptProfile operates on an aggregated ProfileData — the layer the
-//     chaos CLI and the R1 fault-matrix bench inject at, since production
-//     profiles travel as aggregated files, not sample streams.
-//
-// Both are pure functions of (input, FaultSpec): same seed, same corruption.
+// A pure function of (input, FaultSpec): same seed, same corruption.
 #ifndef YIELDHIDE_SRC_FAULTINJECT_PROFILE_FAULTS_H_
 #define YIELDHIDE_SRC_FAULTINJECT_PROFILE_FAULTS_H_
 
-#include <string>
-#include <vector>
-
 #include "src/faultinject/fault.h"
-#include "src/pmu/sample.h"
 #include "src/profile/profile.h"
 
 namespace yieldhide::faultinject {
 
-struct SampleFaultStats {
-  uint64_t samples_in = 0;
-  uint64_t samples_aliased = 0;
-  uint64_t samples_skidded = 0;
-  uint64_t samples_dropped = 0;
-  uint64_t samples_locked = 0;  // period aliasing: pinned to a resonant IP
-
-  std::string ToString() const;
-};
-
-// Applies `spec` to a raw sample stream. `code_size` bounds the address space
-// aliased IPs are drawn from (aliases may land up to 25% beyond it, so
-// consumers see genuinely out-of-range IPs). kStaleBinary shifts every IP as
-// an address-drift artifact. Order-preserving except for dropped samples.
-std::vector<pmu::PebsSample> CorruptSamples(std::vector<pmu::PebsSample> samples,
-                                            const FaultSpec& spec,
-                                            isa::Addr code_size,
-                                            SampleFaultStats* stats = nullptr);
-
 // Applies `spec` to an aggregated profile. Load sites are re-keyed / split /
 // dropped per the fault class; block (LBR) data is perturbed for the
 // IP-affecting classes and left intact for kBufferDrop (LBR rides a separate
-// buffer). kStaleBinary here emulates drift by shifting profile addresses;
-// for true drift, generate a drifted binary with DriftProgram instead and
-// replay the unmodified profile against it.
+// buffer). kStaleBinary and the serving classes leave the profile unchanged:
+// stale drift is injected on the binary side (DriftProgram), replaying the
+// unmodified profile against the drifted binary.
 profile::ProfileData CorruptProfile(const profile::ProfileData& data,
                                     const FaultSpec& spec, isa::Addr code_size);
 

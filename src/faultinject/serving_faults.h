@@ -1,6 +1,6 @@
 // Serving-class fault injectors: deterministic models of control-plane
-// failures in the online rebuild/swap/persistence path (the layer PR 1's
-// sample-stream faults never touch). Where CorruptProfile perturbs *data*,
+// failures in the online rebuild/swap/persistence path (the layer the
+// profile faults never touch). Where CorruptProfile perturbs *data*,
 // these perturb *operations*: a rebuild attempt fails, one epoch's
 // back-mapped evidence is re-keyed, a build consumes inverted evidence, a
 // shard stalls past its epoch deadline, a persisted store rots on disk.
@@ -75,7 +75,7 @@ struct ServingFaultHooks {
 // Builds the hook bundle for the serving-class specs in `specs`
 // (kStoreCorrupt is file-level — apply it with CorruptStoreFile instead;
 // it is accepted and ignored here). Non-serving classes are rejected: the
-// pipeline classes belong to CorruptSamples/CorruptProfile.
+// pipeline classes belong to CorruptProfile and DriftProgram.
 // `code_size` bounds the address space corrupt backmaps re-key into.
 Result<ServingFaultHooks> MakeServingFaultHooks(
     const std::vector<FaultSpec>& specs, isa::Addr code_size);
