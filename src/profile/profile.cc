@@ -223,14 +223,6 @@ void BlockLatencyProfile::AddSnapshots(const std::vector<pmu::LbrSnapshot>& snap
   }
 }
 
-Result<double> BlockLatencyProfile::MeanRunLatency(isa::Addr start, isa::Addr end) const {
-  auto it = runs_.find({start, end});
-  if (it == runs_.end() || it->second.count == 0) {
-    return NotFoundError(StrFormat("run %u..%u never observed", start, end));
-  }
-  return it->second.total_cycles / static_cast<double>(it->second.count);
-}
-
 Result<double> BlockLatencyProfile::MeanLatencyFrom(isa::Addr start) const {
   uint64_t count = 0;
   double cycles = 0;
@@ -243,24 +235,6 @@ Result<double> BlockLatencyProfile::MeanLatencyFrom(isa::Addr start) const {
     return NotFoundError(StrFormat("no runs observed starting at %u", start));
   }
   return cycles / static_cast<double>(count);
-}
-
-uint64_t BlockLatencyProfile::EdgeCount(isa::Addr from, isa::Addr to) const {
-  auto it = edges_.find({from, to});
-  return it == edges_.end() ? 0 : it->second;
-}
-
-isa::Addr BlockLatencyProfile::HotSuccessor(isa::Addr from) const {
-  isa::Addr best = isa::kInvalidAddr;
-  uint64_t best_count = 0;
-  for (auto it = edges_.lower_bound({from, 0});
-       it != edges_.end() && it->first.first == from; ++it) {
-    if (it->second > best_count) {
-      best_count = it->second;
-      best = it->first.second;
-    }
-  }
-  return best;
 }
 
 uint64_t BlockLatencyProfile::RunCount(isa::Addr start) const {

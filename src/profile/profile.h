@@ -122,18 +122,8 @@ class BlockLatencyProfile {
  public:
   void AddSnapshots(const std::vector<pmu::LbrSnapshot>& snapshots);
 
-  // Mean measured cycles for the straight-line run starting at `start` and
-  // ending with the transfer out of `end` (NOT_FOUND if never observed).
-  Result<double> MeanRunLatency(isa::Addr start, isa::Addr end) const;
-
   // Mean measured cycles of runs *starting* at `start`, regardless of exit.
   Result<double> MeanLatencyFrom(isa::Addr start) const;
-
-  // Times the edge from->to was observed taken.
-  uint64_t EdgeCount(isa::Addr from, isa::Addr to) const;
-  // The most frequently observed successor of the transfer at `from`
-  // (kInvalidAddr if none observed).
-  isa::Addr HotSuccessor(isa::Addr from) const;
 
   // Estimated per-cycle "temperature" of an address region: how often runs
   // covering it were observed. Used to order scavenger placement.

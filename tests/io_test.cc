@@ -149,7 +149,7 @@ TEST(ProfileIoTest, SerializeRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_DOUBLE_EQ(back->loads.ForIp(5).est_l2_misses, 10.0);
   EXPECT_DOUBLE_EQ(back->loads.ForIp(5).est_stall_cycles, 100.0);
-  EXPECT_DOUBLE_EQ(back->blocks.MeanRunLatency(0, 7).value(), 25.0);
+  EXPECT_DOUBLE_EQ(back->blocks.MeanLatencyFrom(0).value(), 25.0);
 }
 
 TEST(ProfileIoTest, FileRoundTrip) {
