@@ -105,9 +105,6 @@ Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
           machine_->AdvanceClock(cost);
           ctx.switch_cycles += cost;
           ctx.yields_taken += 1;
-          if (step.conditional_yield) {
-            ctx.cyields_taken += 1;
-          }
           report.switch_cycles += cost;
           ++report.yields;
           current = static_cast<size_t>(next);

@@ -1,12 +1,11 @@
 // Ground-truth per-instruction statistics, collected exactly (not sampled).
 // The profiling pipeline never reads these; they exist so experiments can
-// quantify how close sample-based profiles get to the truth (bench C10) and
-// so benches can report true stall breakdowns (bench C2).
+// quantify how close sample-based profiles get to the truth (bench C10, the
+// only program that attaches them).
 #ifndef YIELDHIDE_SRC_SIM_EXACT_STATS_H_
 #define YIELDHIDE_SRC_SIM_EXACT_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/events.h"
@@ -25,21 +24,11 @@ class ExactStats : public EventListener {
     uint64_t inflight_merges = 0;
     uint64_t stall_cycles = 0;
 
-    // Fraction of this IP's loads that missed L1 and went to L2/L3/DRAM.
-    double MissRatio() const {
-      return loads == 0 ? 0.0
-                        : static_cast<double>(hits_l2 + hits_l3 + hits_dram) /
-                              static_cast<double>(loads);
-    }
     // Fraction of loads that left the L2 (L3 + DRAM) — the paper's target set.
     double L2MissRatio() const {
       return loads == 0 ? 0.0
                         : static_cast<double>(hits_l3 + hits_dram) /
                               static_cast<double>(loads);
-    }
-    double MeanStallCycles() const {
-      return loads == 0 ? 0.0
-                        : static_cast<double>(stall_cycles) / static_cast<double>(loads);
     }
   };
 
@@ -52,17 +41,10 @@ class ExactStats : public EventListener {
   void OnStall(int ctx_id, isa::Addr ip, uint32_t cycles, uint64_t cycle) override;
 
   const PerIp& ForIp(isa::Addr ip) const;
-  size_t tracked_ips() const { return per_ip_.size(); }
 
   uint64_t total_instructions() const { return total_instructions_; }
   uint64_t total_stall_cycles() const { return total_stall_cycles_; }
   uint64_t total_loads() const { return total_loads_; }
-
-  // IPs sorted by descending stall cycles (the "hottest" miss sites), ties
-  // by ascending IP.
-  std::vector<isa::Addr> HottestIps(size_t limit) const;
-
-  std::string Summary(size_t top_n = 5) const;
 
  private:
   PerIp& Slot(isa::Addr ip);

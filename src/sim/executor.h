@@ -37,7 +37,6 @@ struct CpuContext {
   uint64_t stall_cycles = 0;    // cycles exposed waiting on memory
   uint64_t switch_cycles = 0;   // cycles charged for taken yields (by runtime)
   uint64_t yields_taken = 0;
-  uint64_t cyields_taken = 0;
   uint64_t cyields_skipped = 0;
   uint64_t loads = 0;
   uint64_t load_misses = 0;     // loads not satisfied by L1 (incl. in-flight)

@@ -15,20 +15,6 @@ uint32_t Log2(uint32_t x) {
 }
 }  // namespace
 
-const char* HitLevelName(HitLevel level) {
-  switch (level) {
-    case HitLevel::kL1:
-      return "L1";
-    case HitLevel::kL2:
-      return "L2";
-    case HitLevel::kL3:
-      return "L3";
-    case HitLevel::kDram:
-      return "DRAM";
-  }
-  return "?";
-}
-
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     : config_(config),
       line_bits_(Log2(config.l1.line_bytes)),

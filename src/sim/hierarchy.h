@@ -16,8 +16,6 @@ namespace yieldhide::sim {
 // Where a memory access was satisfied.
 enum class HitLevel : uint8_t { kL1 = 1, kL2 = 2, kL3 = 3, kDram = 4 };
 
-const char* HitLevelName(HitLevel level);
-
 struct AccessResult {
   HitLevel level = HitLevel::kL1;
   // Total load-to-use latency in cycles, including any remaining wait on an

@@ -48,7 +48,6 @@ class SmtCore {
   int AddContext(const std::function<void(CpuContext&)>& setup);
 
   CpuContext& context(int id) { return contexts_[id]; }
-  size_t context_count() const { return contexts_.size(); }
 
   // Round-robin fine-grained multithreading until every context halts.
   Result<SmtReport> Run(uint64_t max_total_instructions);

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/isa/assembler.h"
 #include "src/sim/exact_stats.h"
 #include "src/sim/executor.h"
@@ -275,32 +274,7 @@ TEST_F(ExecutorTest, ExactStatsAttributeStallsToLoads) {
   EXPECT_EQ(stats.ForIp(2).hits_l1, 1u);
   EXPECT_EQ(stats.ForIp(1).stall_cycles, 196u);
   EXPECT_EQ(stats.ForIp(2).stall_cycles, 0u);
-  EXPECT_EQ(stats.HottestIps(5).size(), 1u);
-  EXPECT_EQ(stats.HottestIps(5)[0], 1u);
-}
-
-TEST(ExactStatsTest, HottestIpsBreaksTiesByIp) {
-  // 24 IPs tie on stall cycles and arrive in shuffled order. std::sort may
-  // reorder equal keys once it sorts more than 16 elements, so the ranking
-  // has to break ties itself.
-  std::vector<isa::Addr> tied;
-  for (isa::Addr ip = 40; ip < 64; ++ip) {
-    tied.push_back(ip);
-  }
-  Rng rng(3);
-  for (size_t i = tied.size() - 1; i > 0; --i) {
-    std::swap(tied[i], tied[rng.NextBelow(i + 1)]);
-  }
-  ExactStats stats;
-  for (isa::Addr ip : tied) {
-    stats.OnStall(0, ip, 300, 0);
-  }
-  stats.OnStall(0, 7, 800, 0);
-  std::vector<isa::Addr> want = {7};
-  for (isa::Addr ip = 40; ip < 64; ++ip) {
-    want.push_back(ip);
-  }
-  EXPECT_EQ(stats.HottestIps(100), want);
+  EXPECT_EQ(stats.total_stall_cycles(), 196u);
 }
 
 TEST_F(ExecutorTest, BadPcErrors) {
