@@ -24,9 +24,6 @@ Status ExemplarReservoirConfig::Validate() const {
   if (window_cycles == 0) {
     return InvalidArgumentError("exemplar: window_cycles must be positive");
   }
-  if (max_windows == 0) {
-    return InvalidArgumentError("exemplar: max_windows must be positive");
-  }
   return Status::Ok();
 }
 
@@ -49,7 +46,7 @@ ExemplarReservoir::Window* ExemplarReservoir::WindowFor(uint64_t ordinal) {
   }
   if (windows_.empty() || ordinal > windows_.back().ordinal) {
     windows_.push_back(Window{ordinal, {}});
-    while (windows_.size() > config_.max_windows) {
+    while (windows_.size() > kExemplarMaxWindows) {
       windows_.pop_front();
       ++evicted_windows_;
     }
@@ -88,7 +85,7 @@ void ExemplarReservoir::Offer(const RequestSpan& span) {
   window->heap.push_back(std::move(e));
   std::push_heap(window->heap.begin(), window->heap.end(), HeapOrder);
   ++accepted_;
-  uncharged_ += config_.insert_cost_cycles;
+  uncharged_ += kExemplarInsertCostCycles;
 }
 
 uint64_t ExemplarReservoir::TakeUnchargedOverheadCycles() {

@@ -10,7 +10,7 @@
 // freeze) was open. `yhc why` joins these exemplars against the differential
 // attribution report so a tail diagnosis can point at concrete requests.
 //
-// Memory is bounded by construction: at most `max_windows` windows of at
+// Memory is bounded by construction: at most kExemplarMaxWindows windows of at
 // most `top_k` exemplars each, oldest window evicted first (the flight-
 // recorder contract TraceRecorder set; `evicted_windows()` says how much
 // history was lost). Admission is a threshold-gated min-heap: once a window
@@ -57,6 +57,11 @@ struct Exemplar {
   uint64_t window = 0;      // rolling-window ordinal (complete/window_cycles)
 };
 
+// Windows retained; the oldest is evicted past this (bounded memory).
+inline constexpr size_t kExemplarMaxWindows = 64;
+// Modeled bookkeeping cost per ACCEPTED insertion (heap sift + stamp).
+inline constexpr uint32_t kExemplarInsertCostCycles = 1;
+
 struct ExemplarReservoirConfig {
   // Disabled: Offer() is a cheap early-out and no cost is modeled, so an
   // attached-but-disabled reservoir stays inside the 1.01x overhead gate.
@@ -65,10 +70,6 @@ struct ExemplarReservoirConfig {
   size_t top_k = 8;
   // Rolling-window length in completion cycles.
   uint64_t window_cycles = 1ull << 20;
-  // Windows retained; the oldest is evicted past this (bounded memory).
-  size_t max_windows = 64;
-  // Modeled bookkeeping cost per ACCEPTED insertion (heap sift + stamp).
-  uint32_t insert_cost_cycles = 1;
 
   Status Validate() const;
 };
@@ -124,7 +125,7 @@ class ExemplarReservoir {
   uint64_t accepted() const { return accepted_; }
   // Candidates rejected by the threshold gate (did not beat the heap front).
   uint64_t rejected() const { return rejected_; }
-  // Windows dropped to honor max_windows — lost history, not an error.
+  // Windows dropped to honor kExemplarMaxWindows — lost history, not an error.
   uint64_t evicted_windows() const { return evicted_windows_; }
   // Completions landing in an already-evicted window (late arrivals).
   uint64_t late_drops() const { return late_drops_; }

@@ -68,8 +68,6 @@ class MetricsRegistry {
                              const Labels& labels = {}) const;
   const Gauge* FindGauge(const std::string& name,
                          const Labels& labels = {}) const;
-  const LatencyHistogram* FindHistogram(const std::string& name,
-                                        const Labels& labels = {}) const;
 
   // One metric per line, lexicographically sorted, so snapshots diff cleanly:
   //   {"metrics": [
@@ -85,7 +83,6 @@ class MetricsRegistry {
   size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
-  void Clear();
 
  private:
   // Key: name + '\0'-separated serialized sorted labels.

@@ -210,10 +210,6 @@ uint64_t CycleProfiler::TakeUnchargedOverheadCycles() {
   return delta;
 }
 
-uint64_t CycleProfiler::TotalOverheadCycles() const {
-  return total_visits_ * kVisitCostCycles;
-}
-
 TraceSink CycleProfiler::MakeTraceSink() {
   return [this](const TraceEvent& event) {
     switch (event.type) {

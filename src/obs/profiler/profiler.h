@@ -152,7 +152,6 @@ class CycleProfiler {
   // Modeled accounting cost accrued since the last call; the owner charges
   // it to the machine clock at a safe point (mirrors TraceRecorder).
   uint64_t TakeUnchargedOverheadCycles();
-  uint64_t TotalOverheadCycles() const;
 
   // --- streaming drain feed (feed (b)) ---
   // A sink for TraceRecorder::SetSink that tallies yield events per original

@@ -110,7 +110,7 @@ void SloEvaluator::Record(uint64_t now, uint64_t latency_cycles) {
 }
 
 uint64_t SloEvaluator::TakeUnchargedOverheadCycles() {
-  const uint64_t delta = (recorded_ - charged_) * config_.record_cost_cycles;
+  const uint64_t delta = (recorded_ - charged_) * kSloRecordCostCycles;
   charged_ = recorded_;
   return delta;
 }

@@ -34,6 +34,9 @@
 
 namespace yieldhide::obs {
 
+// Modeled bookkeeping cost per recorded request.
+inline constexpr uint32_t kSloRecordCostCycles = 1;
+
 struct SloConfig {
   bool enabled = true;
   // A request is GOOD iff its end-to-end latency is <= this.
@@ -49,8 +52,6 @@ struct SloConfig {
   double slow_burn_threshold = 6.0;
   // Rolling-window bucket granularity; windows round to whole buckets.
   uint64_t bucket_cycles = 125'000;
-  // Modeled bookkeeping cost per recorded request.
-  uint32_t record_cost_cycles = 1;
 
   Status Validate() const;
 };

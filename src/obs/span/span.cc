@@ -393,8 +393,7 @@ void SpanCollector::EndControlWindow(uint64_t now) {
 }
 
 uint64_t SpanCollector::TakeUnchargedOverheadCycles() {
-  uint64_t delta =
-      (transitions_ - charged_transitions_) * config_.event_cost_cycles;
+  uint64_t delta = (transitions_ - charged_transitions_) * kSpanEventCostCycles;
   charged_transitions_ = transitions_;
   if (exemplars_ != nullptr) {
     // The reservoir's accepted-insertion cost rides the same safe-point

@@ -91,11 +91,12 @@ struct RequestSpan {
   SpanClass DominantClass() const;
 };
 
+// Modeled bookkeeping cost per phase transition (a couple of stores and a
+// stamp on real hardware). Charged at scheduler safe points.
+inline constexpr uint32_t kSpanEventCostCycles = 1;
+
 struct SpanCollectorConfig {
   bool enabled = true;
-  // Modeled bookkeeping cost per phase transition (a couple of stores and a
-  // stamp on real hardware). Charged at scheduler safe points.
-  uint32_t event_cost_cycles = 1;
   // Completed-record retention cap; aggregates keep counting past it.
   size_t max_records = 1 << 20;
 };

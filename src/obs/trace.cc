@@ -221,7 +221,7 @@ uint64_t TraceRecorder::DrainToSink() {
 }
 
 uint64_t TraceRecorder::TakeUnchargedOverheadCycles() {
-  const uint64_t delta = (recorded_ - charged_) * config_.record_cost_cycles;
+  const uint64_t delta = (recorded_ - charged_) * kTraceRecordCostCycles;
   charged_ = recorded_;
   return delta;
 }

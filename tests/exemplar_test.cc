@@ -50,10 +50,6 @@ TEST(ExemplarConfigTest, ValidateNamesEachBadField) {
   config.window_cycles = 0;
   EXPECT_NE(config.Validate().ToString().find("window_cycles"),
             std::string::npos);
-  config = ExemplarReservoirConfig{};
-  config.max_windows = 0;
-  EXPECT_NE(config.Validate().ToString().find("max_windows"),
-            std::string::npos);
 }
 
 TEST(ExemplarReservoirTest, OutranksBreaksLatencyTiesByIdAscending) {
@@ -143,19 +139,19 @@ TEST(ExemplarReservoirTest, WindowsRollEvictOldestAndDropLateArrivals) {
   ExemplarReservoirConfig config;
   config.top_k = 1;
   config.window_cycles = 100;
-  config.max_windows = 2;
   ExemplarReservoir reservoir(config);
-  reservoir.Offer(MakeSpan(1, 10, /*complete=*/50));    // window 0
-  reservoir.Offer(MakeSpan(2, 10, /*complete=*/150));   // window 1
-  reservoir.Offer(MakeSpan(3, 10, /*complete=*/250));   // window 2: evicts 0
-  EXPECT_EQ(reservoir.windows().size(), 2u);
+  // One exemplar in each of windows 0..kExemplarMaxWindows: the last evicts 0.
+  for (uint64_t w = 0; w <= kExemplarMaxWindows; ++w) {
+    reservoir.Offer(MakeSpan(100 + w, 10, /*complete=*/w * 100 + 50));
+  }
+  EXPECT_EQ(reservoir.windows().size(), kExemplarMaxWindows);
   EXPECT_EQ(reservoir.evicted_windows(), 1u);
   EXPECT_EQ(reservoir.windows().front().ordinal, 1u);
   // A completion for the evicted window 0 is a late drop, not a crash.
   reservoir.Offer(MakeSpan(4, 10, /*complete=*/60));
   EXPECT_EQ(reservoir.late_drops(), 1u);
   // An out-of-order completion into a RETAINED window still lands.
-  reservoir.Offer(MakeSpan(5, 20, /*complete=*/160));  // window 1, beats id 2
+  reservoir.Offer(MakeSpan(5, 20, /*complete=*/160));  // window 1, beats id 101
   const std::vector<uint64_t> ids = RetainedIds(reservoir);
   EXPECT_TRUE(std::find(ids.begin(), ids.end(), 5u) != ids.end());
   EXPECT_TRUE(std::find(ids.begin(), ids.end(), 4u) == ids.end());
@@ -208,12 +204,12 @@ TEST(ExemplarReservoirTest, DisabledReservoirRetainsAndChargesNothing) {
 TEST(ExemplarReservoirTest, OverheadIsPerAcceptedInsertionAndDrainsOnce) {
   ExemplarReservoirConfig config;
   config.top_k = 1;
-  config.insert_cost_cycles = 5;
   ExemplarReservoir reservoir(config);
   reservoir.Offer(MakeSpan(1, 100));  // accepted
   reservoir.Offer(MakeSpan(2, 50));   // gate-rejected: modeled as free
   reservoir.Offer(MakeSpan(3, 200));  // accepted (displaces 1)
-  EXPECT_EQ(reservoir.TakeUnchargedOverheadCycles(), 10u);
+  EXPECT_EQ(reservoir.TakeUnchargedOverheadCycles(),
+            2 * kExemplarInsertCostCycles);
   EXPECT_EQ(reservoir.TakeUnchargedOverheadCycles(), 0u);
 }
 

@@ -294,16 +294,14 @@ TEST(SloEvaluatorTest, DisabledEvaluatorRecordsAndChargesNothing) {
 }
 
 TEST(SloEvaluatorTest, OverheadIsPerRecordAndDrainsOnce) {
-  SloConfig config = SmallSlo();
-  config.record_cost_cycles = 3;
-  SloEvaluator slo(config);
+  SloEvaluator slo(SmallSlo());
   for (int i = 0; i < 5; ++i) {
     slo.Record(i * 10ull, 10);
   }
-  EXPECT_EQ(slo.TakeUnchargedOverheadCycles(), 15u);
+  EXPECT_EQ(slo.TakeUnchargedOverheadCycles(), 5 * kSloRecordCostCycles);
   EXPECT_EQ(slo.TakeUnchargedOverheadCycles(), 0u);
   slo.Record(100, 10);
-  EXPECT_EQ(slo.TakeUnchargedOverheadCycles(), 3u);
+  EXPECT_EQ(slo.TakeUnchargedOverheadCycles(), kSloRecordCostCycles);
 }
 
 TEST(SloEvaluatorTest, PublishMetricsExportsTheSloFamily) {

@@ -184,13 +184,11 @@ TEST(SpanCollectorTest, DisabledCollectorRecordsAndChargesNothing) {
 }
 
 TEST(SpanCollectorTest, OverheadIsPerTransitionAndDrainsOnce) {
-  SpanCollectorConfig config;
-  config.event_cost_cycles = 3;
-  SpanCollector spans(config);
+  SpanCollector spans;
   // Primary path: admit, dispatch, task start, task end, harvest = 5
   // transitions. Per-step hooks never count.
   DrivePrimaryRequest(spans, 1);
-  EXPECT_EQ(spans.TakeUnchargedOverheadCycles(), 5u * 3u);
+  EXPECT_EQ(spans.TakeUnchargedOverheadCycles(), 5u * kSpanEventCostCycles);
   EXPECT_EQ(spans.TakeUnchargedOverheadCycles(), 0u);
 }
 
