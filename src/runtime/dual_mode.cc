@@ -58,10 +58,6 @@ void DualModeScheduler::SetScavengerLifecycleHooks(ScavengerSpawnHook spawn,
   retire_hook_ = std::move(retire);
 }
 
-void DualModeScheduler::SeedSiteStats(std::map<isa::Addr, YieldSiteStats> stats) {
-  seeded_site_stats_ = std::move(stats);
-}
-
 void DualModeScheduler::SetObservability(obs::TraceRecorder* trace,
                                          obs::MetricsRegistry* metrics) {
   trace_ = trace;
@@ -103,17 +99,6 @@ void DualModeScheduler::SettleSafePoint() {
     profiler_->SyncToClock(machine_->now());
   }
   PublishMetrics();
-}
-
-void DualModeScheduler::AnnounceQuarantineToProfiler() {
-  if (profiler_ == nullptr) {
-    return;
-  }
-  for (const auto& [addr, stats] : report_.site_stats) {
-    if (stats.quarantined) {
-      profiler_->OnQuarantine(sites_.SiteOf(addr), true);
-    }
-  }
 }
 
 void DualModeScheduler::PublishMetrics() {
@@ -254,7 +239,11 @@ Status DualModeScheduler::SwapBinaries(
     // they are keyed by original site. OnBinary reset the quarantine flags,
     // so re-announce the carried table.
     profiler_->OnBinary(primary_binary_);
-    AnnounceQuarantineToProfiler();
+    for (const auto& [addr, stats] : report_.site_stats) {
+      if (stats.quarantined) {
+        profiler_->OnQuarantine(sites_.SiteOf(addr), true);
+      }
+    }
   }
   if (YH_TRACE_ENABLED(trace_, obs::kTraceQuarantine)) {
     std::set<uint64_t> still_quarantined;
@@ -400,14 +389,12 @@ Result<DualModeReport> DualModeScheduler::Run() {
 
 void DualModeScheduler::BeginRun() {
   report_ = DualModeReport{};
-  report_.site_stats = seeded_site_stats_;
   in_task_ = false;
   task_index_ = 0;
   run_start_ = machine_->now();
   started_ = true;
   if (profiler_ != nullptr) {
     profiler_->OnRunBegin(run_start_);
-    AnnounceQuarantineToProfiler();  // seeded carry-over tables
   }
   for (size_t i = 0; i < kInitialScavengers; ++i) {
     if (SpawnScavenger() < 0) {
@@ -662,7 +649,6 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
     report_.run.completions.push_back(
         CompletionRecord{primary.id, task_start, machine_->now()});
     report_.primary_latency.Record(machine_->now() - task_start);
-    report_.primary_issue_cycles += primary.issue_cycles;
     report_.primary_stall_cycles += primary.stall_cycles;
     report_.run.issue_cycles += primary.issue_cycles;
     report_.run.stall_cycles += primary.stall_cycles;

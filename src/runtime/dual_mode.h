@@ -81,15 +81,14 @@ struct YieldSiteStats {
 struct DualModeReport {
   RunReport run;                      // totals; completions = primary tasks
   LatencyHistogram primary_latency;   // per-task latency (cycles)
-  uint64_t primary_issue_cycles = 0;
   uint64_t primary_stall_cycles = 0;
   uint64_t scavenger_issue_cycles = 0;
   uint64_t scavengers_spawned = 0;
   uint64_t chains = 0;  // scavenger-to-scavenger transfers ("too early" case)
   // Site-quarantine telemetry (keyed by instrumented-program yield address).
   std::map<isa::Addr, YieldSiteStats> site_stats;
-  uint64_t sites_quarantined = 0;   // quarantined during this run (seeded
-                                    // carry-overs are not re-counted)
+  uint64_t sites_quarantined = 0;   // quarantined during this run (tables
+                                    // carried by a swap are not re-counted)
   uint64_t quarantined_skips = 0;  // yields not taken at quarantined sites
   // Hide-window occupancy telemetry: how full the scavenger bursts actually
   // ran. The adapt controller's pool-scaling feedback loop reads these.
@@ -187,11 +186,6 @@ class DualModeScheduler {
   // trace recorder's.
   void SetSpanCollector(obs::SpanCollector* spans);
 
-  // Pre-seeds per-site quarantine state for the next Run(), keyed by yield
-  // address in the primary binary. Lets adaptation carry quarantine decisions
-  // across a re-instrumentation instead of paying min_visits to re-learn them.
-  void SeedSiteStats(std::map<isa::Addr, YieldSiteStats> stats);
-
   // Hot-swaps the binaries mid-run. Only legal at a safe point (before Run()
   // or inside a TaskBoundaryHook): fails with FAILED_PRECONDITION if a
   // primary task is in flight, so no task can ever observe a mix of old and
@@ -232,8 +226,8 @@ class DualModeScheduler {
   // Incremental serving API: runs at most `max_tasks` more primary tasks and
   // returns at a safe point (no task in flight) with the number actually
   // completed by this call — 0 once the queue is empty. The first call does
-  // the start-of-run setup (report reset, quarantine seed, initial scavenger
-  // spawns). ServerGroup drives its shards in epoch lockstep through this;
+  // the start-of-run setup (report reset, initial scavenger spawns).
+  // ServerGroup drives its shards in epoch lockstep through this;
   // Run() is the run-to-completion composition of RunTasks + Finalize.
   Result<size_t> RunTasks(size_t max_tasks);
   // Ends an incremental run: flushes live scavenger accounting into the
@@ -294,9 +288,6 @@ class DualModeScheduler {
   // profiler's and span collector's modeled costs to the clock, syncs the
   // profiler and publishes metrics.
   void SettleSafePoint();
-  // Re-announces the current quarantine table to the profiler (run start and
-  // after swaps, when OnBinary has reset its flags).
-  void AnnounceQuarantineToProfiler();
   // Start-of-run setup shared by Run() and the first RunTasks() call.
   void BeginRun();
   // One scavenger burst at a primary yield (see the scheduling rules above).
@@ -315,7 +306,6 @@ class DualModeScheduler {
   ScavengerRetireHook retire_hook_;
   std::vector<Scavenger> scavengers_;
   size_t scavenger_cursor_ = 0;
-  std::map<isa::Addr, YieldSiteStats> seeded_site_stats_;
   bool in_task_ = false;
   // Incremental-run state: BeginRun() has run and Finalize() has not.
   bool started_ = false;

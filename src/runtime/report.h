@@ -49,14 +49,6 @@ struct RunReport {
                : static_cast<double>(instructions) / static_cast<double>(total_cycles);
   }
 
-  LatencyHistogram LatencyHistogramOf() const {
-    LatencyHistogram hist;
-    for (const CompletionRecord& record : completions) {
-      hist.Record(record.LatencyCycles());
-    }
-    return hist;
-  }
-
   std::string Summary() const;
 };
 

@@ -150,7 +150,6 @@ TEST(RoundRobinTest, CompletionsCarryLatencies) {
   for (const CompletionRecord& record : report->completions) {
     EXPECT_GT(record.LatencyCycles(), 0u);
   }
-  EXPECT_EQ(report->LatencyHistogramOf().count(), 2u);
 }
 
 // --- DualModeScheduler ------------------------------------------------------------
@@ -386,8 +385,9 @@ TEST_F(DualModeTest, QuarantineFiresWithExternalSupplierScavengers) {
   EXPECT_TRUE(report->site_stats.begin()->second.quarantined);
 }
 
-// A seeded (carried-over) quarantine decision is honored as-is with an
-// external supplier: no re-learning, no re-counting, stats frozen.
+// A seeded quarantine decision, carried in by a swap at a task boundary the
+// way adaptation carries it, is honored as-is with an external supplier: no
+// re-learning, no re-counting, stats frozen.
 TEST_F(DualModeTest, SeededQuarantineStaysQuarantinedWithExternalSupplier) {
   const isa::Addr yield_addr = primary_.yields.begin()->first;
   DualModeConfig config;
@@ -396,18 +396,28 @@ TEST_F(DualModeTest, SeededQuarantineStaysQuarantinedWithExternalSupplier) {
   seeded[yield_addr].visits = 50;
   seeded[yield_addr].useful = 50;  // even a site that WAS earning stays out:
   seeded[yield_addr].quarantined = true;  // the decision is carried, not re-derived
-  sched.SeedSiteStats(seeded);
-  for (int i = 0; i < 2; ++i) {
+  uint64_t quarantined_at_swap = 0;
+  uint64_t skips_at_swap = 0;
+  sched.SetTaskBoundaryHook([&](size_t tasks_completed) {
+    if (tasks_completed == 1) {
+      quarantined_at_swap = sched.progress().sites_quarantined;
+      skips_at_swap = sched.progress().quarantined_skips;
+      ASSERT_TRUE(sched.SwapBinaries(&primary_, nullptr, seeded).ok());
+    }
+  });
+  for (int i = 0; i < 3; ++i) {
     sched.AddPrimaryTask(PrimaryTask(i));
   }
   sched.SetScavengerFactory(AluScavengers(100));
   auto report = sched.Run();
   ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->binary_swaps, 1u);
   const YieldSiteStats& stats = report->site_stats.at(yield_addr);
   EXPECT_TRUE(stats.quarantined);
   EXPECT_EQ(stats.visits, 50u);  // the skip path does not accumulate
-  EXPECT_GT(report->quarantined_skips, 0u);
-  EXPECT_EQ(report->sites_quarantined, 0u);  // carried, not a new event
+  EXPECT_GT(report->quarantined_skips, skips_at_swap);
+  // Carried, not a new event.
+  EXPECT_EQ(report->sites_quarantined, quarantined_at_swap);
 }
 
 // A site whose every visit pays an expensive switch still earns its keep when
