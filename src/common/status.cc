@@ -14,18 +14,12 @@ const char* StatusCodeName(StatusCode code) {
       return "OUT_OF_RANGE";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kInternal:
       return "INTERNAL";
     case StatusCode::kUnavailable:
       return "UNAVAILABLE";
     case StatusCode::kResourceExhausted:
       return "RESOURCE_EXHAUSTED";
-    case StatusCode::kPermissionDenied:
-      return "PERMISSION_DENIED";
   }
   return "UNKNOWN";
 }
@@ -54,12 +48,6 @@ Status OutOfRangeError(std::string message) {
 Status FailedPreconditionError(std::string message) {
   return Status(StatusCode::kFailedPrecondition, std::move(message));
 }
-Status AlreadyExistsError(std::string message) {
-  return Status(StatusCode::kAlreadyExists, std::move(message));
-}
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }
@@ -68,9 +56,6 @@ Status UnavailableError(std::string message) {
 }
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
-}
-Status PermissionDeniedError(std::string message) {
-  return Status(StatusCode::kPermissionDenied, std::move(message));
 }
 
 }  // namespace yieldhide
