@@ -66,16 +66,8 @@ void AdaptController::QuarantineGeneration(int id) {
   }
 }
 
-const instrument::InstrumentedProgram& AdaptController::binary() const {
-  return current_generation().binary();
-}
-
 const profile::LoadProfile& AdaptController::reference_loads() const {
   return current_generation().reference_loads;
-}
-
-const core::PipelineArtifacts& AdaptController::current_artifacts() const {
-  return *current_generation().artifacts;
 }
 
 std::map<isa::Addr, runtime::YieldSiteStats> AdaptController::TranslateSiteStats(

@@ -69,7 +69,6 @@ class AdaptController {
   AdaptController(const isa::Program* original, core::PipelineArtifacts initial,
                   const AdaptControllerConfig& config);
 
-  const instrument::InstrumentedProgram& binary() const;
   // Original load site → covering primary-yield address, current binary.
   const std::map<isa::Addr, isa::Addr>& site_index() const {
     return current_generation().site_index;
@@ -80,9 +79,8 @@ class AdaptController {
   const profile::LoadProfile& reference_loads() const;
 
   // The lineage as generations: generation(0) is the initial offline build,
-  // generation(generation_count() - 1) the newest. References stay valid for
-  // the controller's lifetime (old binaries are never freed).
-  size_t generation_count() const { return generations_.size(); }
+  // the highest id the newest. References stay valid for the controller's
+  // lifetime (old binaries are never freed).
   const BinaryGeneration& generation(size_t id) const {
     return *generations_[id];
   }
@@ -136,8 +134,6 @@ class AdaptController {
   };
   size_t RecommendPoolCap(const BurstDeltas& deltas, uint32_t hide_window_cycles,
                           size_t current_cap) const;
-
-  const core::PipelineArtifacts& current_artifacts() const;
 
  private:
   // Wraps freshly built artifacts into the lineage + generation tables.

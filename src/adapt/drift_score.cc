@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/strings.h"
-
 namespace yieldhide::adapt {
 
 namespace {
@@ -18,13 +16,6 @@ constexpr double kMinTotalStallCycles = 1000.0;
 // fraction.
 constexpr uint64_t kMinSiteVisits = 8;
 }  // namespace
-
-std::string DriftScore::ToString() const {
-  return StrFormat(
-      "drift=%.3f (appearance=%.3f over %zu sites, divergence=%.3f over %zu "
-      "sites)",
-      score, appearance, new_hot_sites, divergence, diverged_sites);
-}
 
 DriftScore ComputeDriftScore(
     const profile::LoadProfile& reference, const profile::LoadProfile& online,

@@ -18,7 +18,6 @@
 #define YIELDHIDE_SRC_ADAPT_DRIFT_SCORE_H_
 
 #include <map>
-#include <string>
 
 #include "src/profile/profile.h"
 #include "src/runtime/dual_mode.h"
@@ -35,8 +34,6 @@ struct DriftScore {
   double score = 0.0;        // weighted combination, clamped to [0, 1]
   size_t new_hot_sites = 0;
   size_t diverged_sites = 0;
-
-  std::string ToString() const;
 };
 
 // `reference`: the load profile the current binary was instrumented from

@@ -114,7 +114,6 @@ class GenerationHealth {
   // Aggregate p99 hidden-latency snapshots (0 = not available).
   void SetHiddenLatencyP99(uint64_t canary_p99, uint64_t peer_p99);
 
-  int epochs_observed() const { return epochs_observed_; }
   bool window_complete() const {
     return epochs_observed_ >= config_.confirmation_window;
   }

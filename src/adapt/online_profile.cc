@@ -6,7 +6,7 @@ namespace yieldhide::adapt {
 
 void OnlineProfile::BeginEpoch() {
   ++epochs_;
-  loads_.Decay(config_.decay, config_.min_site_executions);
+  loads_.Decay(kEvidenceDecay, kMinSiteExecutions);
 }
 
 void OnlineProfile::ObserveSamples(const std::vector<pmu::PebsSample>& samples,

@@ -16,17 +16,14 @@
 
 namespace yieldhide::adapt {
 
-struct OnlineProfileConfig {
-  // Multiplier applied to all accumulated evidence at each epoch boundary.
-  double decay = 0.6;
-  // Sites whose decayed execution estimate drops below this are forgotten.
-  double min_site_executions = 0.5;
-};
+// Multiplier applied to all accumulated evidence at each epoch boundary; the
+// group's SharedProfileStore decays at the same rate.
+inline constexpr double kEvidenceDecay = 0.6;
+// Sites whose decayed execution estimate drops below this are forgotten.
+inline constexpr double kMinSiteExecutions = 0.5;
 
 class OnlineProfile {
  public:
-  explicit OnlineProfile(const OnlineProfileConfig& config) : config_(config) {}
-
   // Starts a new epoch: decays all prior evidence.
   void BeginEpoch();
 
@@ -56,7 +53,6 @@ class OnlineProfile {
   uint64_t scavenger_samples() const { return scavenger_samples_; }
 
  private:
-  OnlineProfileConfig config_;
   profile::LoadProfile loads_;
   profile::SampleDropStats drop_stats_;
   uint64_t scavenger_samples_ = 0;

@@ -15,11 +15,6 @@ namespace {
 constexpr char kHeaderMagic[] = "yhstore v";
 constexpr char kFooterMagic[] = "yhstore-end crc=";
 
-// The merged view decays once per GROUP epoch by the shards' own online
-// profile settings, so an N=1 group's store tracks the shard's local profile
-// exactly.
-constexpr OnlineProfileConfig kStoreDecay;
-
 // Consumes "<prefix><decimal>" from the front of `rest`; false on mismatch.
 bool ConsumeUint(std::string_view& rest, std::string_view prefix,
                  uint64_t* value) {
@@ -169,12 +164,15 @@ Result<profile::ProfileData> LoadStoreFile(const std::string& path) {
 
 void SharedProfileStore::BeginEpoch() {
   ++epochs_;
-  loads_.Decay(kStoreDecay.decay, kStoreDecay.min_site_executions);
+  // The merged view decays once per GROUP epoch at the shards' own online
+  // profile rate, so an N=1 group's store tracks the shard's local profile
+  // exactly.
+  loads_.Decay(kEvidenceDecay, kMinSiteExecutions);
   // Tenant drift forgets at the evidence's rate; quarantine TTLs tick down
   // once per GROUP epoch and expire by erasure (a re-offending tenant gets a
   // fresh quarantine from the group's policy, not a lingering one).
   for (auto& [name, drift] : tenant_drift_) {
-    drift *= kStoreDecay.decay;
+    drift *= kEvidenceDecay;
   }
   for (auto it = tenant_quarantine_.begin(); it != tenant_quarantine_.end();) {
     if (it->second <= 1) {
@@ -222,13 +220,6 @@ void SharedProfileStore::Contribute(const profile::LoadProfile& epoch_evidence) 
     return;
   }
   loads_.Merge(epoch_evidence);
-  ++contributions_;
-}
-
-Status SharedProfileStore::SaveTo(const std::string& path) const {
-  profile::ProfileData data;
-  data.loads = loads_;
-  return SaveStoreFile(data, path);
 }
 
 Status SharedProfileStore::SaveMergedWith(const profile::LoadProfile& reference,

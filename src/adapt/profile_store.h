@@ -70,7 +70,6 @@ class SharedProfileStore {
   const profile::LoadProfile& loads() const { return loads_; }
 
   uint64_t epochs() const { return epochs_; }
-  uint64_t contributions() const { return contributions_; }
   bool warm_started() const { return warm_started_; }
 
   // ---- per-tenant drift isolation (multi-tenant QoS) ----------------------
@@ -100,13 +99,14 @@ class SharedProfileStore {
   // write-rename, and WarmStartFrom rejects corrupt/truncated/future-version
   // files with the typed ParseStoreFile errors so the caller can fall back
   // to a cold start instead of crashing or silently half-loading.
-  Status SaveTo(const std::string& path) const;
+  //
   // Persists the store blended with `reference` (the merged profile the
   // serving binary was BUILT from) at `reference_share` of the combined
   // mass. Raw evidence alone under-reports repaired sites — once a site is
   // instrumented and prefetched its misses vanish from the PMU — so a store
   // persisted unblended would forget exactly what the binary exists to
-  // cover, and the next warm start would rebuild without it.
+  // cover, and the next warm start would rebuild without it. An empty
+  // `reference` persists the store's own evidence.
   Status SaveMergedWith(const profile::LoadProfile& reference,
                         double reference_share, const std::string& path) const;
   Status WarmStartFrom(const std::string& path);
@@ -114,7 +114,6 @@ class SharedProfileStore {
  private:
   profile::LoadProfile loads_;
   uint64_t epochs_ = 0;
-  uint64_t contributions_ = 0;
   bool warm_started_ = false;
   // tenant name -> decayed drift EWMA (this epoch's folds take the max of
   // contributing shards before decaying next epoch).

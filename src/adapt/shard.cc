@@ -68,7 +68,6 @@ Shard::Shard(size_t id, sim::Machine* machine,
       dual_(config.dual),
       generation_(generation),
       shared_binary_(scavenger_binary == nullptr),
-      online_(OnlineProfileConfig{}),
       trace_(trace),
       metrics_(metrics),
       labels_(std::move(labels)) {
@@ -154,7 +153,6 @@ void Shard::OpenBoundary(profile::LoadProfile* epoch_evidence) {
   epoch_.tasks_completed = progress.run.completions.size();
   epoch_.cycles = machine_->now() - epoch_start_;
   epoch_.sampling_overhead_cycles = overhead_delta;
-  epoch_.sampling_rate_scale = rate_scale_;
   epoch_.pool_cap = scheduler_->scavenger_pool_cap();
   // Long-lived scavengers only flush into the report at halt/swap/end, so
   // per-epoch efficiency counts their live (unflushed) issue cycles too.
@@ -207,7 +205,7 @@ void Shard::FoldTenantSamples(const std::vector<pmu::PebsSample>& samples) {
     return;  // tenant-blind (or single-tenant) source: nothing to attribute
   }
   while (tenant_online_.size() < snapshots.size()) {
-    tenant_online_.emplace_back(OnlineProfileConfig{});
+    tenant_online_.emplace_back();
   }
   // Partition the epoch's samples by which tenant's request held the primary
   // slot when each fired. Scavenger-context samples land wherever the
@@ -240,7 +238,7 @@ void Shard::FoldTenantSamples(const std::vector<pmu::PebsSample>& samples) {
     tenant_epoch_.push_back(std::move(evidence));
   }
   // The tenant-less remainder still feeds the store under quarantine.
-  OnlineProfile scratch(OnlineProfileConfig{});
+  OnlineProfile scratch;
   scratch.ObserveSamples(unattributed, periods_, generation_->backmap,
                          &unattributed_epoch_);
 }

@@ -90,9 +90,6 @@ struct EpochTelemetry {
   size_t pool_cap = 0;
   double burst_occupancy = 0.0;
   uint64_t sampling_overhead_cycles = 0;
-  // Sampling rate multiplier in force DURING this epoch (1.0 = configured
-  // periods; see AdaptiveServerConfig::drift_aware_sampling).
-  double sampling_rate_scale = 1.0;
   // The binary generation that SERVED this epoch (stamped before any swap at
   // the boundary). `yhc why --generation G1,G2` maps generations to epoch
   // windows through this field.

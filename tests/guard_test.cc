@@ -358,7 +358,7 @@ TEST(ServingFaultsTest, CorruptStoreFileIsDeterministicAndRejectedAtLoad) {
 
   const std::string a = TempPath("rot_a.profile");
   const std::string b = TempPath("rot_b.profile");
-  ASSERT_TRUE(store.SaveTo(a).ok());
+  ASSERT_TRUE(store.SaveMergedWith({}, 0.5, a).ok());
   WriteFileBytes(b, ReadFileBytes(a));
 
   faultinject::FaultSpec spec;
