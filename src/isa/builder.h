@@ -41,12 +41,8 @@ class ProgramBuilder {
   ProgramBuilder& Nop() { return Emit({Opcode::kNop}); }
   ProgramBuilder& Add(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kAdd, rd, rs1, rs2); }
   ProgramBuilder& Sub(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kSub, rd, rs1, rs2); }
-  ProgramBuilder& Mul(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kMul, rd, rs1, rs2); }
   ProgramBuilder& And(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kAnd, rd, rs1, rs2); }
-  ProgramBuilder& Or(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kOr, rd, rs1, rs2); }
   ProgramBuilder& Xor(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kXor, rd, rs1, rs2); }
-  ProgramBuilder& Shl(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kShl, rd, rs1, rs2); }
-  ProgramBuilder& Shr(Reg rd, Reg rs1, Reg rs2) { return Emit3(Opcode::kShr, rd, rs1, rs2); }
   ProgramBuilder& Addi(Reg rd, Reg rs1, int64_t imm) { return EmitImm(Opcode::kAddi, rd, rs1, imm); }
   ProgramBuilder& Andi(Reg rd, Reg rs1, int64_t imm) { return EmitImm(Opcode::kAndi, rd, rs1, imm); }
   ProgramBuilder& Shli(Reg rd, Reg rs1, int64_t imm) { return EmitImm(Opcode::kShli, rd, rs1, imm); }
@@ -58,9 +54,6 @@ class ProgramBuilder {
   ProgramBuilder& Mov(Reg rd, Reg rs1) { return Emit({Opcode::kMov, rd, rs1, 0, 0}); }
   ProgramBuilder& Load(Reg rd, Reg base, int64_t disp) {
     return Emit({Opcode::kLoad, rd, base, 0, disp});
-  }
-  ProgramBuilder& Loadx(Reg rd, Reg base, Reg index, int64_t scale) {
-    return Emit({Opcode::kLoadx, rd, base, index, scale});
   }
   ProgramBuilder& Store(Reg base, int64_t disp, Reg src) {
     return Emit({Opcode::kStore, 0, base, src, disp});
@@ -81,10 +74,7 @@ class ProgramBuilder {
     return EmitBranch(Opcode::kBge, rs1, rs2, target);
   }
   ProgramBuilder& Jmp(Label target) { return EmitBranch(Opcode::kJmp, 0, 0, target); }
-  ProgramBuilder& Call(Label target) { return EmitBranch(Opcode::kCall, 0, 0, target); }
-  ProgramBuilder& Ret() { return Emit({Opcode::kRet}); }
   ProgramBuilder& Yield() { return Emit({Opcode::kYield}); }
-  ProgramBuilder& Cyield() { return Emit({Opcode::kCyield}); }
   ProgramBuilder& Halt() { return Emit({Opcode::kHalt}); }
 
   // Marks the entry point at the next appended instruction.
