@@ -11,6 +11,16 @@ namespace yieldhide::instrument {
 
 namespace {
 
+// Pre-filter passed to LoadProfile::LikelyStallLoads: candidates below this
+// share of the total estimated stall cycles are not worth a yield.
+constexpr double kMinStallShare = 0.001;
+// Confidence gate: candidates whose profile evidence scores below this (see
+// SiteConfidence) are quarantined instead of instrumented. Corrupted profiles
+// manufacture sites with internally inconsistent evidence (more misses than
+// executions, misses without stalls); a yield placed on such a site is pure
+// overhead.
+constexpr double kMinConfidence = 0.25;
+
 // Picks a register that is dead at `addr` (not live-in and not an address
 // source of the pending loads), for use as a prefetch scratch register.
 // Returns -1 if none is available.
@@ -67,7 +77,7 @@ Result<PrimaryResult> RunPrimaryPass(const isa::Program& program,
   // Profile correlation (miss samples x stall samples), then drop sample IPs
   // that do not land on load instructions (PEBS skid can shift attribution).
   std::vector<isa::Addr> candidates =
-      profile.LikelyStallLoads(config.min_miss_probability, config.min_stall_share);
+      profile.LikelyStallLoads(config.min_miss_probability, kMinStallShare);
   const size_t correlated = candidates.size();
   candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                   [&](isa::Addr addr) {
@@ -79,19 +89,16 @@ Result<PrimaryResult> RunPrimaryPass(const isa::Program& program,
   report.skid_rejected = correlated - candidates.size();
   // Confidence gate: quarantine sites whose evidence is internally
   // inconsistent rather than handing them to the selection policy.
-  if (config.min_confidence > 0) {
-    candidates.erase(
-        std::remove_if(candidates.begin(), candidates.end(),
-                       [&](isa::Addr addr) {
-                         if (SiteConfidence(profile.ForIp(addr)) >=
-                             config.min_confidence) {
-                           return false;
-                         }
-                         report.quarantined_loads.push_back(addr);
-                         return true;
-                       }),
-        candidates.end());
-  }
+  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                  [&](isa::Addr addr) {
+                                    if (SiteConfidence(profile.ForIp(addr)) >=
+                                        kMinConfidence) {
+                                      return false;
+                                    }
+                                    report.quarantined_loads.push_back(addr);
+                                    return true;
+                                  }),
+                   candidates.end());
   report.candidate_loads = candidates;
 
   std::vector<isa::Addr> selected;

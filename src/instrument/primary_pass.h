@@ -39,18 +39,11 @@ struct PrimaryConfig {
   size_t top_k = 8;                         // kTopStallSites
   // Pre-filter passed to LoadProfile::LikelyStallLoads.
   double min_miss_probability = 0.05;
-  double min_stall_share = 0.001;
   // Enable the yield-coalescing optimization.
   bool coalesce = true;
   // Enable liveness-minimized save sets; when false, yields save all
   // registers (ablation C6).
   bool minimize_save_set = true;
-  // Confidence gate: candidates whose profile evidence scores below this
-  // (see SiteConfidence) are quarantined instead of instrumented. Corrupted
-  // profiles manufacture sites with internally inconsistent evidence (more
-  // misses than executions, misses without stalls); a yield placed on such a
-  // site is pure overhead. 0 disables the gate.
-  double min_confidence = 0.25;
   YieldCostModel cost_model;
 };
 

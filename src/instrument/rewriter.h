@@ -22,8 +22,6 @@ class BinaryRewriter {
   // inserted sequence (the sequence becomes part of the block).
   void InsertBefore(isa::Addr addr, std::vector<isa::Instruction> sequence);
 
-  size_t pending_insertions() const { return insertions_.size(); }
-
   struct Rewritten {
     isa::Program program;
     AddrMap addr_map;

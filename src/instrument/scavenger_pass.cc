@@ -16,6 +16,10 @@ namespace {
 // Safety valve for the planning loop.
 constexpr size_t kMaxPlanningIterations = 64;
 
+// Profile-guided placement (before static bounding) only considers
+// straight-line runs executed at least this often.
+constexpr uint64_t kHotRunMinCount = 4;
+
 // Static cost of one instruction under the "compute time" model: loads priced
 // as L1 hits (a scavenger's own misses suspend it at primary yields).
 uint32_t StaticCost(const isa::Instruction& insn, const sim::CostModel& cost,
@@ -219,7 +223,7 @@ Result<ScavengerResult> RunScavengerPass(const InstrumentedProgram& input,
   if (block_profile != nullptr) {
     for (const analysis::BasicBlock& block : cfg.blocks()) {
       const uint64_t heat = block_profile->RunCount(block.start);
-      if (heat < config.hot_run_min_count) {
+      if (heat < kHotRunMinCount) {
         continue;
       }
       auto measured = block_profile->MeanLatencyFrom(block.start);

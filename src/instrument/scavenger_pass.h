@@ -35,9 +35,6 @@ struct ScavengerConfig {
   // Per-instruction static costs (loads priced as L1 hits: scavenger-mode
   // misses suspend at primary yields anyway).
   sim::CostModel machine_cost;
-  // Profile-guided placement (before static bounding) only considers
-  // straight-line runs executed at least this often.
-  uint64_t hot_run_min_count = 4;
   bool minimize_save_set = true;
   YieldCostModel cost_model;
 };

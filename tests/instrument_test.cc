@@ -268,7 +268,6 @@ TEST(PrimaryPassTest, ExpectedBenefitSkipsRareMisses) {
   PrimaryConfig config;
   config.policy = PrimaryPolicy::kExpectedBenefit;
   config.min_miss_probability = 0.0;
-  config.min_stall_share = 0.0;
   auto result = RunPrimaryPass(program, MakeProfile(0.9, 0.02), config);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->report.instrumented_loads, std::vector<isa::Addr>{1});
@@ -280,7 +279,6 @@ TEST(PrimaryPassTest, TopKPolicyLimits) {
   config.policy = PrimaryPolicy::kTopStallSites;
   config.top_k = 1;
   config.min_miss_probability = 0.0;
-  config.min_stall_share = 0.0;
   auto result = RunPrimaryPass(program, MakeProfile(0.9, 0.5), config);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->report.instrumented_loads.size(), 1u);
@@ -542,7 +540,6 @@ TEST(ScavengerPassTest, ProfileGuidedPlacementFiresOnHotBlocks) {
   input.program = program;
   ScavengerConfig config;
   config.target_interval_cycles = 30;
-  config.hot_run_min_count = 2;
   auto result = RunScavengerPass(input, &blocks, config);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->report.profile_guided_insertions, 0u);
@@ -574,7 +571,6 @@ TEST(ScavengerPassTest, MeasuredLatencyScalesProfileGuidedDensity) {
 
   ScavengerConfig config;
   config.target_interval_cycles = 30;
-  config.hot_run_min_count = 2;
   InstrumentedProgram input;
   input.program = program;
 
