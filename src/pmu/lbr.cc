@@ -12,7 +12,7 @@ void LbrRecorder::OnBranch(int ctx_id, isa::Addr from, isa::Addr to, bool taken,
   entry.to = to;
   entry.cycles = static_cast<uint32_t>(cycle - last_branch_cycle_);
   last_branch_cycle_ = cycle;
-  if (ring_.size() >= config_.ring_entries) {
+  if (ring_.size() >= kLbrRingEntries) {
     ring_.pop_front();
   }
   ring_.push_back(entry);

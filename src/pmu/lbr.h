@@ -17,8 +17,10 @@
 
 namespace yieldhide::pmu {
 
+// Ring depth; Intel: 32 since Skylake.
+inline constexpr size_t kLbrRingEntries = 32;
+
 struct LbrConfig {
-  size_t ring_entries = 32;        // Intel: 32 since Skylake
   uint64_t snapshot_period = 509;  // snapshot the ring every Nth taken branch
   size_t max_snapshots = 1 << 16;
 };

@@ -118,7 +118,6 @@ TEST(PebsTest, NoSkidWhenDisabled) {
 
 TEST(LbrTest, RecordsTakenBranchesWithCycleDeltas) {
   LbrConfig config;
-  config.ring_entries = 4;
   config.snapshot_period = 3;
   LbrRecorder lbr(config);
   lbr.OnBranch(0, 10, 20, true, 100);
@@ -140,18 +139,19 @@ TEST(LbrTest, IgnoresUntakenBranchesByDefault) {
 }
 
 TEST(LbrTest, RingKeepsOnlyLastN) {
+  // Three branches more than the ring holds; the snapshot sees the last N.
+  const int branches = static_cast<int>(kLbrRingEntries) + 3;
   LbrConfig config;
-  config.ring_entries = 2;
-  config.snapshot_period = 5;
+  config.snapshot_period = static_cast<uint64_t>(branches);
   LbrRecorder lbr(config);
-  for (int i = 1; i <= 5; ++i) {
+  for (int i = 1; i <= branches; ++i) {
     lbr.OnBranch(0, i * 10, i * 10 + 1, true, i * 100);
   }
   auto snaps = lbr.DrainSnapshots();
   ASSERT_EQ(snaps.size(), 1u);
-  ASSERT_EQ(snaps[0].entries.size(), 2u);
-  EXPECT_EQ(snaps[0].entries[0].from, 40u);
-  EXPECT_EQ(snaps[0].entries[1].from, 50u);
+  ASSERT_EQ(snaps[0].entries.size(), kLbrRingEntries);
+  EXPECT_EQ(snaps[0].entries.front().from, 40u);
+  EXPECT_EQ(snaps[0].entries.back().from, static_cast<isa::Addr>(branches * 10));
 }
 
 TEST(LbrTest, SnapshotLimitRespected) {
