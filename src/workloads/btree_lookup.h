@@ -52,7 +52,6 @@ class BtreeLookup : public SimWorkload {
   isa::Addr node_key_load_addr_ = 0;
   // Host mirror of the tree, indexed by slot.
   std::vector<uint64_t> node_key_, node_value_, node_left_, node_right_;
-  std::vector<uint64_t> slot_addr_;  // slot -> scattered address
   uint64_t root_addr_ = 0;
   std::vector<std::vector<uint64_t>> task_lookups_;
 };
