@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kGroup; ++i) {
       sched.AddCoroutine(workload.SetupFor(i));
     }
-    auto report = sched.Run(2'000'000'000ull).value();
+    auto run = sched.Run(2'000'000'000ull);
+    CheckResults(run, workload, machine.memory(), kGroup);
+    const runtime::RunReport& report = run.value();
     const auto& hs = machine.hierarchy().stats();
     const double useless =
         hs.prefetches_issued + hs.prefetches_useless == 0
