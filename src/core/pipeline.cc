@@ -1,6 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include "src/common/strings.h"
+#include "src/isa/builder.h"
 
 namespace yieldhide::core {
 
@@ -155,6 +156,32 @@ Result<PipelineArtifacts> InstrumentFromProfile(const isa::Program& original,
   artifacts.profile = std::move(profile);
   YH_RETURN_IF_ERROR(InstrumentWithProfile(original, config, artifacts));
   return artifacts;
+}
+
+instrument::InstrumentedProgram MakeScavengedBatch(
+    const sim::MachineConfig& machine) {
+  isa::ProgramBuilder builder("alu_batch");
+  auto loop = builder.Here("loop");
+  for (int i = 0; i < 40; ++i) {
+    builder.Addi(3, 3, 1);
+    builder.Xor(4, 4, 3);
+  }
+  builder.Addi(2, 2, -1);
+  builder.Bne(2, 0, loop);
+  builder.Halt();
+  instrument::InstrumentedProgram input;
+  input.program = std::move(builder).Build().value();
+  instrument::ScavengerConfig config;
+  config.target_interval_cycles = 300;
+  config.machine_cost = machine.cost;
+  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
+  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
+}
+
+runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
+  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
+  };
 }
 
 }  // namespace yieldhide::core

@@ -37,6 +37,7 @@
 #include "src/instrument/scavenger_pass.h"
 #include "src/instrument/verifier.h"
 #include "src/profile/collector.h"
+#include "src/runtime/dual_mode.h"
 #include "src/sim/machine.h"
 #include "src/workloads/workload.h"
 
@@ -96,6 +97,15 @@ Result<PipelineArtifacts> BuildInstrumentedForWorkload(
 Result<PipelineArtifacts> InstrumentFromProfile(const isa::Program& original,
                                                 profile::ProfileData profile,
                                                 const PipelineConfig& config);
+
+// The compute-heavy scavenger kernel of the benches and `yhc chaos`: an ALU
+// loop (40 x {addi, xor}, r2 iterations), scavenger-instrumented at 300
+// cycles. It touches no memory, so it can share a machine with any primary.
+instrument::InstrumentedProgram MakeScavengedBatch(
+    const sim::MachineConfig& machine);
+
+// An endless supply of MakeScavengedBatch coroutines, 1M iterations each.
+runtime::DualModeScheduler::ScavengerFactory BatchFactory();
 
 }  // namespace yieldhide::core
 

@@ -436,6 +436,10 @@ int CmdChaos(Options& options) {
   }
 
   // --- step 4: dual-mode run vs uninstrumented baseline --------------------
+  // The faulted run's scavengers run the ALU batch job, as in R1, so the
+  // bound measures what the faults cost the primary.
+  const instrument::InstrumentedProgram batch =
+      core::MakeScavengedBatch(config.machine);
   auto dual_run = [&](const instrument::InstrumentedProgram& bin,
                       bool enable_quarantine,
                       bool with_scavengers) -> Result<runtime::DualModeReport> {
@@ -443,16 +447,12 @@ int CmdChaos(Options& options) {
     YH_RETURN_IF_ERROR(options.ApplyRings(machine));
     runtime::DualModeConfig dm;
     dm.site_quarantine = enable_quarantine;
-    runtime::DualModeScheduler sched(&bin, &bin, &machine, dm);
+    runtime::DualModeScheduler sched(&bin, &batch, &machine, dm);
     for (uint64_t i = 0; i < group; ++i) {
       sched.AddPrimaryTask(options.MakeSetup(static_cast<int>(i)));
     }
     if (with_scavengers) {
-      int task = static_cast<int>(group);
-      sched.SetScavengerFactory([&options, task]() mutable
-                                    -> std::optional<std::function<void(sim::CpuContext&)>> {
-        return options.MakeSetup(task++);
-      });
+      sched.SetScavengerFactory(core::BatchFactory());
     }
     return sched.Run();
   };
