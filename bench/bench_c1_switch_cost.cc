@@ -48,7 +48,9 @@ void BM_NativeFunctionCallBaseline(benchmark::State& state) {
     f(x);
   };
   for (auto _ : state) {
-    fp(fn, ++i);
+    const uint64_t next = i + 1;
+    i = next;
+    fp(fn, next);
   }
   benchmark::DoNotOptimize(acc);
 }
