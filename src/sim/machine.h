@@ -35,10 +35,6 @@ class Machine {
     }
   }
 
-  double CyclesToNs(uint64_t cycles) const {
-    return static_cast<double>(cycles) / config_.cycles_per_ns;
-  }
-
   // Resets caches and the clock but keeps data memory (a warmed data image is
   // usually reused across runs). Call memory().Clear() to drop data too.
   void ResetMicroarchState() {
