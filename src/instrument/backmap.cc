@@ -24,13 +24,6 @@ ReverseAddrMap::ReverseAddrMap(const AddrMap& forward,
   }
 }
 
-isa::Addr ReverseAddrMap::ToOriginal(isa::Addr instrumented_addr) const {
-  if (instrumented_addr >= reverse_.size()) {
-    return isa::kInvalidAddr;
-  }
-  return reverse_[instrumented_addr];
-}
-
 std::map<isa::Addr, isa::Addr> PrimaryYieldsByOriginalSite(
     const InstrumentedProgram& binary) {
   const ReverseAddrMap reverse(binary.addr_map, binary.program.size());

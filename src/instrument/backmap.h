@@ -29,7 +29,10 @@ class ReverseAddrMap {
 
   // Original-binary address for `instrumented_addr`; kInvalidAddr when the
   // address is out of range or past the last original instruction's image.
-  isa::Addr ToOriginal(isa::Addr instrumented_addr) const;
+  isa::Addr ToOriginal(isa::Addr instrumented_addr) const {
+    return instrumented_addr < reverse_.size() ? reverse_[instrumented_addr]
+                                               : isa::kInvalidAddr;
+  }
 
   // The site key: ToOriginal, or the address itself where that is
   // kInvalidAddr (a binary with no address map, or an address past the last

@@ -91,21 +91,17 @@ void SloEvaluator::Record(uint64_t now, uint64_t latency_cycles) {
   if (over && !alert_active_) {
     alert_active_ = true;
     ++alerts_fired_;
-    if (YH_TRACE_ENABLED(trace_, kTraceSlo)) {
-      trace_->Record(TraceEventType::kSloAlertFire, now, shard_,
-                     config_.latency_budget_cycles,
-                     static_cast<uint64_t>(fast_burn_ * 1e6));
-    }
+    TraceEmit(trace_, TraceEventType::kSloAlertFire, now, shard_,
+              config_.latency_budget_cycles,
+              static_cast<uint64_t>(fast_burn_ * 1e6));
   } else if (!over && alert_active_ &&
              fast_burn_ < config_.fast_burn_threshold &&
              slow_burn_ < config_.slow_burn_threshold) {
     alert_active_ = false;
     ++alerts_cleared_;
-    if (YH_TRACE_ENABLED(trace_, kTraceSlo)) {
-      trace_->Record(TraceEventType::kSloAlertClear, now, shard_,
-                     config_.latency_budget_cycles,
-                     static_cast<uint64_t>(fast_burn_ * 1e6));
-    }
+    TraceEmit(trace_, TraceEventType::kSloAlertClear, now, shard_,
+              config_.latency_budget_cycles,
+              static_cast<uint64_t>(fast_burn_ * 1e6));
   }
 }
 

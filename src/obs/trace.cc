@@ -105,51 +105,6 @@ const char* TraceEventTypeName(TraceEventType type) {
   return "unknown";
 }
 
-TraceCategory TraceEventCategory(TraceEventType type) {
-  switch (type) {
-    case TraceEventType::kCoroSwitch:
-      return kTraceSched;
-    case TraceEventType::kYieldHidden:
-    case TraceEventType::kYieldBlown:
-      return kTraceYield;
-    case TraceEventType::kScavengerSpawn:
-    case TraceEventType::kScavengerRetire:
-      return kTraceScavenger;
-    case TraceEventType::kQuarantineEnter:
-    case TraceEventType::kQuarantineExit:
-      return kTraceQuarantine;
-    case TraceEventType::kDriftUpdate:
-      return kTraceDrift;
-    case TraceEventType::kSwapBegin:
-    case TraceEventType::kSwapCommit:
-      return kTraceSwap;
-    case TraceEventType::kPmuSample:
-      return kTracePmu;
-    case TraceEventType::kCanaryBegin:
-    case TraceEventType::kCanaryPromote:
-    case TraceEventType::kCanaryRollback:
-    case TraceEventType::kRebuildRetry:
-    case TraceEventType::kWatchdogFire:
-    case TraceEventType::kStoreFallback:
-      return kTraceGuard;
-    case TraceEventType::kRequestAdmit:
-    case TraceEventType::kRequestShed:
-    case TraceEventType::kRequestDispatch:
-    case TraceEventType::kRequestComplete:
-    case TraceEventType::kRequestRequeue:
-      return kTraceServe;
-    case TraceEventType::kSpanBegin:
-    case TraceEventType::kSpanEnd:
-      return kTraceSpan;
-    case TraceEventType::kSloAlertFire:
-    case TraceEventType::kSloAlertClear:
-      return kTraceSlo;
-    case TraceEventType::kTenantQuarantine:
-      return kTraceGuard;
-  }
-  return kTraceSched;
-}
-
 TraceRecorder::TraceRecorder(const TraceConfig& config)
     : config_(config), mask_(config.mask) {
   ring_.resize(RoundUpPow2(config.capacity == 0 ? 1 : config.capacity));

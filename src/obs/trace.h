@@ -3,7 +3,7 @@
 //
 // The recorder is built for always-on production use:
 //   * a runtime category mask bounds the cost of a disabled category (the
-//     YH_TRACE_ENABLED macro: a null check, one load, one test, no call);
+//     TraceEmit gate: a null check, one load, one test, no call);
 //   * the ring is fixed-capacity and overwrites the oldest event, so an
 //     always-on recorder holds the last N events of any incident without
 //     unbounded memory — the classic flight-recorder contract. The
@@ -23,8 +23,10 @@
 #ifndef YIELDHIDE_SRC_OBS_TRACE_H_
 #define YIELDHIDE_SRC_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,8 +93,46 @@ enum class TraceEventType : uint8_t {
                       // shard that reported it, arg = drift in millionths
 };
 
+inline constexpr size_t kTraceEventTypeCount =
+    static_cast<size_t>(TraceEventType::kTenantQuarantine) + 1;
+
+// The category each event type records under, indexed by the type.
+inline constexpr TraceCategory kTraceEventCategories[] = {
+    kTraceSched,       // kCoroSwitch
+    kTraceYield,       // kYieldHidden
+    kTraceYield,       // kYieldBlown
+    kTraceScavenger,   // kScavengerSpawn
+    kTraceScavenger,   // kScavengerRetire
+    kTraceQuarantine,  // kQuarantineEnter
+    kTraceQuarantine,  // kQuarantineExit
+    kTraceDrift,       // kDriftUpdate
+    kTraceSwap,        // kSwapBegin
+    kTraceSwap,        // kSwapCommit
+    kTracePmu,         // kPmuSample
+    kTraceGuard,       // kCanaryBegin
+    kTraceGuard,       // kCanaryPromote
+    kTraceGuard,       // kCanaryRollback
+    kTraceGuard,       // kRebuildRetry
+    kTraceGuard,       // kWatchdogFire
+    kTraceGuard,       // kStoreFallback
+    kTraceServe,       // kRequestAdmit
+    kTraceServe,       // kRequestShed
+    kTraceServe,       // kRequestDispatch
+    kTraceServe,       // kRequestComplete
+    kTraceServe,       // kRequestRequeue
+    kTraceSpan,        // kSpanBegin
+    kTraceSpan,        // kSpanEnd
+    kTraceSlo,         // kSloAlertFire
+    kTraceSlo,         // kSloAlertClear
+    kTraceGuard,       // kTenantQuarantine
+};
+static_assert(std::size(kTraceEventCategories) == kTraceEventTypeCount,
+              "one category per TraceEventType");
+
 const char* TraceEventTypeName(TraceEventType type);
-TraceCategory TraceEventCategory(TraceEventType type);
+constexpr TraceCategory TraceEventCategory(TraceEventType type) {
+  return kTraceEventCategories[static_cast<size_t>(type)];
+}
 
 struct TraceEvent {
   uint64_t cycle = 0;  // simulated-cycle timestamp
@@ -121,11 +161,12 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(const TraceConfig& config = TraceConfig());
 
-  // One load + one AND: the hot-path gate call sites use via YH_TRACE_ENABLED.
+  // One load + one AND: the hot-path gate TraceEmit applies.
   bool ShouldRecord(uint32_t category) const { return (mask_ & category) != 0; }
   uint32_t mask() const { return mask_; }
 
-  // Unconditionally records (callers gate with ShouldRecord / the macro).
+  // Unconditionally records (callers gate with TraceEmit, or ShouldRecord
+  // around a loop of records).
   void Record(TraceEventType type, uint64_t cycle, int32_t ctx_id, uint64_t ip,
               uint64_t arg);
 
@@ -185,9 +226,15 @@ class TraceRecorder {
   size_t flush_threshold_ = 0;
 };
 
-// Hot-path gate: a null check plus one masked load.
-#define YH_TRACE_ENABLED(recorder, category) \
-  ((recorder) != nullptr && (recorder)->ShouldRecord(category))
+// Records one event when `recorder` is attached and its mask holds the
+// type's category: a null check plus one masked load otherwise.
+inline void TraceEmit(TraceRecorder* recorder, TraceEventType type,
+                      uint64_t cycle, int32_t ctx_id, uint64_t ip,
+                      uint64_t arg) {
+  if (recorder != nullptr && recorder->ShouldRecord(TraceEventCategory(type))) {
+    recorder->Record(type, cycle, ctx_id, ip, arg);
+  }
+}
 
 // Renders the recorder's events as Chrome trace-event JSON ("JSON object
 // format": {"traceEvents": [...]}), loadable in Perfetto / chrome://tracing.

@@ -41,7 +41,7 @@ std::vector<PebsSample> SamplingSession::DrainAllSamples() {
     std::vector<PebsSample> drained = sampler->Drain();
     all.insert(all.end(), drained.begin(), drained.end());
   }
-  if (YH_TRACE_ENABLED(trace_, obs::kTracePmu)) {
+  if (trace_ != nullptr && trace_->ShouldRecord(obs::kTracePmu)) {
     for (const PebsSample& sample : all) {
       trace_->Record(obs::TraceEventType::kPmuSample, sample.cycle,
                      sample.ctx_id, sample.ip,

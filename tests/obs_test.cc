@@ -65,13 +65,35 @@ TEST(TraceRecorderTest, MaskGatesShouldRecord) {
   EXPECT_FALSE(recorder.ShouldRecord(kTraceSched));
 }
 
-TEST(TraceRecorderTest, MacroHandlesNullRecorder) {
-  TraceRecorder* recorder = nullptr;
-  EXPECT_FALSE(YH_TRACE_ENABLED(recorder, kTraceYield));
-  TraceRecorder real;
-  EXPECT_TRUE(YH_TRACE_ENABLED(&real, kTraceYield));
-  // PMU events are off in the default mask.
-  EXPECT_FALSE(YH_TRACE_ENABLED(&real, kTracePmu));
+TEST(TraceRecorderTest, EmitGatesOnTheTypesCategory) {
+  for (size_t i = 0; i < kTraceEventTypeCount; ++i) {
+    const auto type = static_cast<TraceEventType>(i);
+    SCOPED_TRACE(TraceEventTypeName(type));
+    const TraceCategory category = TraceEventCategory(type);
+    TraceConfig only;
+    only.mask = category;
+    TraceRecorder with(only);
+    TraceEmit(&with, type, 100, 1, 0x2a, 7);
+    const auto events = with.Events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].type, type);
+    EXPECT_EQ(events[0].cycle, 100u);
+    EXPECT_EQ(events[0].ctx_id, 1);
+    EXPECT_EQ(events[0].ip, 0x2au);
+    EXPECT_EQ(events[0].arg, 7u);
+    TraceConfig lacking;
+    lacking.mask = kTraceAllCategories & ~category;
+    TraceRecorder without(lacking);
+    TraceEmit(&without, type, 100, 1, 0x2a, 7);
+    EXPECT_EQ(without.recorded(), 0u);
+    TraceEmit(nullptr, type, 100, 1, 0x2a, 7);  // no recorder: a no-op
+  }
+  // The default mask records yields but not per-sample PMU events.
+  TraceRecorder defaults;
+  TraceEmit(&defaults, TraceEventType::kYieldHidden, 1, 0, 0, 0);
+  TraceEmit(&defaults, TraceEventType::kPmuSample, 2, 0, 0, 0);
+  ASSERT_EQ(defaults.recorded(), 1u);
+  EXPECT_EQ(defaults.Events()[0].type, TraceEventType::kYieldHidden);
 }
 
 TEST(TraceRecorderTest, OverheadChargedOnce) {
