@@ -78,6 +78,17 @@ struct YieldSiteStats {
   bool quarantined = false;
 };
 
+// Mean fraction of the hide window that `bursts` scavenger bursts filled,
+// given the `busy_cycles` scavengers ran inside them; 0 without bursts.
+inline double BurstOccupancy(uint64_t busy_cycles, uint64_t bursts,
+                             uint32_t hide_window_cycles) {
+  if (bursts == 0 || hide_window_cycles == 0) {
+    return 0.0;
+  }
+  return static_cast<double>(busy_cycles) /
+         (static_cast<double>(bursts) * hide_window_cycles);
+}
+
 struct DualModeReport {
   RunReport run;                      // totals; completions = primary tasks
   LatencyHistogram primary_latency;   // per-task latency (cycles)
@@ -100,11 +111,8 @@ struct DualModeReport {
 
   // Mean fraction of the hide window that bursts actually filled.
   double BurstOccupancy(uint32_t hide_window_cycles) const {
-    if (bursts == 0 || hide_window_cycles == 0) {
-      return 0.0;
-    }
-    return static_cast<double>(burst_busy_cycles) /
-           (static_cast<double>(bursts) * hide_window_cycles);
+    return runtime::BurstOccupancy(burst_busy_cycles, bursts,
+                                   hide_window_cycles);
   }
 
   // Core cycles doing useful work for either class.
