@@ -91,13 +91,7 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
     const uint64_t next_line = line + 1;
     if (!l1_.Contains(next_line) && FindFill(next_line) == mshr_.end() &&
         mshr_.size() < config_.mshr_entries) {
-      HitLevel source = HitLevel::kDram;
-      if (l2_.Contains(next_line)) {
-        source = HitLevel::kL2;
-      } else if (l3_.Contains(next_line)) {
-        source = HitLevel::kL3;
-      }
-      StartFill(next_line, now + MissLatency(source));
+      StartFill(next_line, now + MissLatency(FillSource(next_line)));
       ++stats_.hw_prefetches;
     }
   }
@@ -172,24 +166,19 @@ bool MemoryHierarchy::Prefetch(uint64_t byte_addr, uint64_t now) {
     ++stats_.prefetches_dropped;
     return false;
   }
-  // The fill takes as long as the deepest level that has the line. Probe
-  // without LRU updates; the install happens when the fill completes.
-  HitLevel source = HitLevel::kDram;
-  if (l2_.Contains(line)) {
-    source = HitLevel::kL2;
-  } else if (l3_.Contains(line)) {
-    source = HitLevel::kL3;
-  }
-  StartFill(line, now + MissLatency(source));
+  // The fill takes as long as the level it comes from; the install happens
+  // when it completes.
+  StartFill(line, now + MissLatency(FillSource(line)));
   ++stats_.prefetches_issued;
   return true;
 }
 
 HitLevel MemoryHierarchy::ProbeLevel(uint64_t byte_addr) const {
   const uint64_t line = LineOf(byte_addr);
-  if (l1_.Contains(line)) {
-    return HitLevel::kL1;
-  }
+  return l1_.Contains(line) ? HitLevel::kL1 : FillSource(line);
+}
+
+HitLevel MemoryHierarchy::FillSource(uint64_t line) const {
   if (l2_.Contains(line)) {
     return HitLevel::kL2;
   }

@@ -91,6 +91,9 @@ class MemoryHierarchy {
   void InstallEverywhere(uint64_t line);
   // Latency of fetching a line found at `level`.
   uint32_t MissLatency(HitLevel level) const;
+  // Where a fill of `line` comes from once L1 has missed: L2, else L3, else
+  // DRAM. Probes tags without LRU updates.
+  HitLevel FillSource(uint64_t line) const;
 
   HierarchyConfig config_;
   uint32_t line_bits_;
