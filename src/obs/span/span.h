@@ -231,6 +231,11 @@ class SpanCollector {
   // classes, the remainder goes to `residue_class`.
   void CloseExecSegment(Active& a, uint64_t now, SpanClass residue_class);
   void Finalize(Active& a, uint64_t egress_begin, uint64_t egress_end);
+  // The request scavenger `ctx` serves, or null; cached in last_active_.
+  Active* ScavengerRequest(int32_t ctx);
+  // Closes the exec segment of the request scavenger `ctx` serves and
+  // unbinds it from `ctx`; returns it, or null when `ctx` serves none.
+  Active* UnbindScavenger(int32_t ctx, uint64_t now);
   void Transition(uint64_t id, SpanClass phase_class, int32_t ctx,
                   uint64_t now);
 
