@@ -47,7 +47,7 @@ struct GuardConfig {
   // (`yhc serve --guard-ratio`).
   double regression_ratio = 1.30;
   // Consult the canary shard's SLO burn-rate evaluator (obs::SloEvaluator,
-  // installed via ServerGroup::SetSloEvaluator) as an extra rollback signal:
+  // attached as ShardObservers::slo) as an extra rollback signal:
   // a canary whose cycles/op looks healthy is still rolled back when the
   // shard's multi-window burn alert is ACTIVE at verdict time — the
   // generation may be fast per op yet wrecking tail latency.

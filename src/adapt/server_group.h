@@ -152,7 +152,6 @@ class ServerGroup {
   // only when shards > 1) and trace ctx ids. Call before Run().
   void SetObservability(obs::TraceRecorder* trace,
                         obs::MetricsRegistry* metrics);
-  void SetProfiler(size_t shard, obs::CycleProfiler* profiler);
   void SetScavengerFactory(size_t shard,
                            runtime::DualModeScheduler::ScavengerFactory factory);
   void SetScavengerBinary(size_t shard,
@@ -162,21 +161,13 @@ class ServerGroup {
   // empty instead of relying on pre-loaded AddTask work; see
   // Shard::SetRequestSource. Call before Run().
   void SetRequestSource(size_t shard, RequestSource* source);
-  // Request-scoped span attribution: wires the collector into the shard's
-  // scheduler, and marks canary confirmation windows on EVERY registered
-  // collector as control-plane interference (SpanClass::kFreeze) — the swap
-  // lane is frozen group-wide while a canary is in flight. Call before Run().
-  void SetSpanCollector(size_t shard, obs::SpanCollector* spans);
-  // SLO burn-rate evaluator per shard; with GuardConfig::consult_slo the
-  // canary shard's active alert vetoes an otherwise-healthy promotion.
-  void SetSloEvaluator(size_t shard, obs::SloEvaluator* slo);
-  // Tail-exemplar reservoir per shard: the shard stamps each retained
-  // exemplar with its serving context (generation, epoch, quarantine), and
-  // the group marks canary confirmation windows on every reservoir so
-  // exemplars captured under a frozen swap lane carry control_window=true.
-  // The reservoir must also be fed by the shard's SpanCollector
-  // (SpanCollector::SetExemplars). Call before Run().
-  void SetExemplar(size_t shard, obs::ExemplarReservoir* exemplars);
+  // The observers of one shard (see ShardObservers). The group marks canary
+  // confirmation windows on EVERY shard's span collector and reservoir as
+  // control-plane interference (SpanClass::kFreeze; exemplars captured in
+  // one carry control_window=true): the swap lane is frozen group-wide while
+  // a canary is in flight. With GuardConfig::consult_slo the canary shard's
+  // active SLO alert vetoes an otherwise-healthy promotion. Call before Run().
+  void SetObservers(size_t shard, const ShardObservers& observers);
 
   // Serves every shard's queue to completion in lockstep group epochs,
   // staggering swaps (see file comment), then saves the store if configured.
@@ -194,11 +185,8 @@ class ServerGroup {
   std::vector<std::deque<runtime::DualModeScheduler::ContextSetup>> tasks_;
   std::vector<runtime::DualModeScheduler::ScavengerFactory> factories_;
   std::vector<const instrument::InstrumentedProgram*> scavenger_binaries_;
-  std::vector<obs::CycleProfiler*> profilers_;
   std::vector<RequestSource*> request_sources_;
-  std::vector<obs::SpanCollector*> span_collectors_;
-  std::vector<obs::SloEvaluator*> slo_evaluators_;
-  std::vector<obs::ExemplarReservoir*> exemplars_;
+  std::vector<ShardObservers> observers_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

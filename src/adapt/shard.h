@@ -34,6 +34,7 @@
 #include "src/obs/exemplar/exemplar.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler/profiler.h"
+#include "src/obs/slo/slo.h"
 #include "src/obs/span/span.h"
 #include "src/obs/trace.h"
 #include "src/pmu/session.h"
@@ -109,6 +110,22 @@ struct AdaptReport {
   std::string Summary() const;
 };
 
+// The observers attached to one shard; any may be null, and each must
+// outlive the shard. The profiler and the span collector are wired into the
+// shard's scheduler (the front end feeds the same collector its admission
+// and harvest transitions), and the shard snapshots both at every epoch
+// boundary. The shard stamps each exemplar the reservoir retains with the
+// control-plane state in force when it completed (serving generation, epoch
+// ordinal, quarantine); the reservoir itself is fed by the span collector
+// (SpanCollector::SetExemplars). The group consults the SLO evaluator and
+// marks canary confirmation windows on the collector and the reservoir.
+struct ShardObservers {
+  obs::CycleProfiler* profiler = nullptr;
+  obs::SpanCollector* spans = nullptr;
+  obs::SloEvaluator* slo = nullptr;
+  obs::ExemplarReservoir* exemplars = nullptr;
+};
+
 class Shard {
  public:
   // One tenant's slice of an epoch's drift evidence. Scores are
@@ -154,7 +171,7 @@ class Shard {
         runtime::DualModeScheduler::ScavengerFactory factory,
         std::deque<runtime::DualModeScheduler::ContextSetup> tasks,
         obs::TraceRecorder* trace, obs::MetricsRegistry* metrics,
-        obs::CycleProfiler* profiler, obs::Labels labels);
+        const ShardObservers& observers, obs::Labels labels);
   ~Shard();
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -163,28 +180,6 @@ class Shard {
   // non-null, receives this epoch's raw back-mapped samples for the shared
   // store.
   Result<EpochOutcome> RunEpochTasks(profile::LoadProfile* epoch_evidence);
-
-  // Wires request-scoped span attribution into this shard's scheduler (the
-  // front end feeds the same collector its admission/harvest transitions).
-  // The shard keeps the pointer so FinishEpochBoundary can snapshot
-  // per-epoch span-class slices next to the profiler's.
-  void SetSpanCollector(obs::SpanCollector* spans) {
-    spans_ = spans;
-    scheduler_->SetSpanCollector(spans);
-  }
-
-  // Tail-exemplar capture: the shard pushes scheduler context (serving
-  // generation, epoch ordinal, quarantine state) into the reservoir at every
-  // boundary and install, so each retained exemplar is stamped with the
-  // control-plane state in force when it completed. The reservoir itself is
-  // fed by the SpanCollector (SetExemplars), not by the shard.
-  void SetExemplarReservoir(obs::ExemplarReservoir* exemplars) {
-    exemplar_ = exemplars;
-    if (exemplar_ != nullptr && generation_ != nullptr) {
-      exemplar_->SetContext(generation_->id, report_.epochs.size(),
-                            generation_->quarantined);
-    }
-  }
 
   // Installs the open-loop request source (must outlive the shard) and wires
   // the scheduler's scavenger lifecycle hooks to it. With a source installed
@@ -246,9 +241,7 @@ class Shard {
   OnlineProfile online_;
   obs::TraceRecorder* trace_;
   obs::MetricsRegistry* metrics_;
-  obs::CycleProfiler* profiler_ = nullptr;
-  obs::SpanCollector* spans_ = nullptr;
-  obs::ExemplarReservoir* exemplar_ = nullptr;
+  ShardObservers observers_;
   obs::Labels labels_;
   RequestSource* request_source_ = nullptr;
   // Per-tenant decayed evidence (parallel to the source's Tenants() order;

@@ -151,8 +151,22 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
     ShardParts& parts = deployment.shards_[s];
     if (spec.profiler.has_value()) {
       parts.profiler = std::make_unique<obs::CycleProfiler>(*spec.profiler);
-      group.SetProfiler(s, parts.profiler.get());
     }
+    if (spec.spans.has_value()) {
+      parts.spans = std::make_unique<obs::SpanCollector>(*spec.spans);
+      parts.spans->SetTrace(spec.trace);
+    }
+    if (spec.slo.has_value()) {
+      parts.slo = std::make_unique<obs::SloEvaluator>(*spec.slo);
+      parts.slo->SetTrace(spec.trace, static_cast<int32_t>(s));
+    }
+    if (spec.exemplars.has_value()) {
+      parts.exemplars =
+          std::make_unique<obs::ExemplarReservoir>(*spec.exemplars);
+      parts.spans->SetExemplars(parts.exemplars.get());
+    }
+    group.SetObservers(s, {parts.profiler.get(), parts.spans.get(),
+                           parts.slo.get(), parts.exemplars.get()});
     if (spec.closed_loop.has_value()) {
       LoadClosedLoopShard(workload, *spec.closed_loop, shards, s, group);
       continue;
@@ -177,27 +191,10 @@ Result<Deployment> Deployment::Build(const workloads::SimWorkload& workload,
         front.SetTenantSloEvaluator(t, parts.tenant_slos.back().get());
       }
     }
+    front.SetSpanCollector(parts.spans.get());
+    front.SetSloEvaluator(parts.slo.get());
     group.SetRequestSource(s, &front);
     group.SetScavengerFactory(s, front.MakeScavengerFactory());
-
-    if (spec.spans.has_value()) {
-      parts.spans = std::make_unique<obs::SpanCollector>(*spec.spans);
-      parts.spans->SetTrace(spec.trace);
-      front.SetSpanCollector(parts.spans.get());
-      group.SetSpanCollector(s, parts.spans.get());
-    }
-    if (spec.slo.has_value()) {
-      parts.slo = std::make_unique<obs::SloEvaluator>(*spec.slo);
-      parts.slo->SetTrace(spec.trace, static_cast<int32_t>(s));
-      front.SetSloEvaluator(parts.slo.get());
-      group.SetSloEvaluator(s, parts.slo.get());
-    }
-    if (spec.exemplars.has_value()) {
-      parts.exemplars =
-          std::make_unique<obs::ExemplarReservoir>(*spec.exemplars);
-      parts.spans->SetExemplars(parts.exemplars.get());
-      group.SetExemplar(s, parts.exemplars.get());
-    }
   }
   return deployment;
 }

@@ -559,7 +559,7 @@ TEST(GuardedServerGroupTest, ProfilerEpochSlicesSurviveCanaryRollback) {
   for (size_t s = 0; s < 2; ++s) {
     profilers.push_back(std::make_unique<obs::CycleProfiler>());
     profilers.back()->OnBinary(&stale.binary);
-    group.SetProfiler(s, profilers.back().get());
+    group.SetObservers(s, {.profiler = profilers.back().get()});
   }
   constexpr int kTasksPerShard = 24;
   for (int s = 0; s < 2; ++s) {

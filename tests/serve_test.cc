@@ -427,7 +427,7 @@ TEST(ServerGroupOpenLoopTest, ServesFromRequestSourceWithConservation) {
   group.SetObservability(nullptr, &metrics);
   obs::CycleProfiler profiler;
   profiler.OnBinary(&artifacts->binary);
-  group.SetProfiler(0, &profiler);
+  group.SetObservers(0, {.profiler = &profiler});
 
   std::vector<std::unique_ptr<ShardFrontEnd>> fronts;
   for (size_t s = 0; s < kShards; ++s) {
@@ -720,19 +720,17 @@ std::vector<ShardOutcome> RunHandWired(const DeploymentScenario& scenario,
     group.SetScavengerFactory(s, front.MakeScavengerFactory());
 
     profilers.push_back(std::make_unique<obs::CycleProfiler>(*spec.profiler));
-    group.SetProfiler(s, profilers.back().get());
     collectors.push_back(std::make_unique<obs::SpanCollector>(*spec.spans));
     collectors.back()->SetTrace(trace);
     front.SetSpanCollector(collectors.back().get());
-    group.SetSpanCollector(s, collectors.back().get());
     slos.push_back(std::make_unique<obs::SloEvaluator>(*spec.slo));
     slos.back()->SetTrace(trace, static_cast<int32_t>(s));
     front.SetSloEvaluator(slos.back().get());
-    group.SetSloEvaluator(s, slos.back().get());
     reservoirs.push_back(
         std::make_unique<obs::ExemplarReservoir>(*spec.exemplars));
     collectors.back()->SetExemplars(reservoirs.back().get());
-    group.SetExemplar(s, reservoirs.back().get());
+    group.SetObservers(s, {profilers.back().get(), collectors.back().get(),
+                           slos.back().get(), reservoirs.back().get()});
   }
   auto report = group.Run();
   EXPECT_TRUE(report.ok()) << report.status();
