@@ -225,22 +225,16 @@ void SharedProfileStore::Contribute(const profile::LoadProfile& epoch_evidence) 
 Status SharedProfileStore::SaveMergedWith(const profile::LoadProfile& reference,
                                           double reference_share,
                                           const std::string& path) const {
-  auto mass = [](const profile::LoadProfile& loads) {
-    double total = 0.0;
-    for (const auto& [ip, site] : loads.sites()) {
-      total += site.est_executions;
-    }
-    return total;
-  };
   profile::ProfileData data;
   data.loads = reference;
   profile::LoadProfile recent = loads_;
-  const double reference_mass = mass(reference);
-  const double recent_mass = mass(recent);
+  const double reference_mass = reference.TotalExecutions();
+  const double recent_mass = recent.TotalExecutions();
   if (reference_mass > 0.0 && recent_mass > 0.0) {
-    // Mass-match the same way AdaptController::RebuildFromLoads merges: the
-    // raw tail supplies (1 - reference_share) of the reference's mass, so
-    // per-site ratios survive on both sides regardless of run length.
+    // Mass-match as AdaptController::RebuildFromLoads merges: the raw tail
+    // supplies (1 - reference_share) of the reference's mass, so per-site
+    // ratios survive on both sides regardless of run length. (The rebuild
+    // decays its reference even when a mass is zero; the store keeps it.)
     recent.Decay((1.0 - reference_share) * reference_mass / recent_mass);
     data.loads.Decay(reference_share);
   }

@@ -121,6 +121,14 @@ std::vector<isa::Addr> LoadProfile::LikelyStallLoads(double min_miss_probability
   return out;
 }
 
+double LoadProfile::TotalExecutions() const {
+  double total = 0.0;
+  for (const auto& [ip, site] : sites_) {
+    total += site.est_executions;
+  }
+  return total;
+}
+
 void LoadProfile::Merge(const LoadProfile& other) {
   for (const auto& [ip, site] : other.sites_) {
     SiteProfile& mine = sites_[ip];

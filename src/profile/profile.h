@@ -91,6 +91,8 @@ class LoadProfile {
   const std::map<isa::Addr, SiteProfile>& sites() const { return sites_; }
 
   double total_stall_cycles() const { return total_stall_cycles_; }
+  // The profile's mass: the sum of every site's execution estimate.
+  double TotalExecutions() const;
 
   // The §3.2 correlation step: IPs whose estimated L2-miss probability is at
   // least `min_miss_probability` AND which account for at least
