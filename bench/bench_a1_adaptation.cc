@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   Table table({"severity", "run", "cycles_x", "eff", "drift", "swaps", "epoch_max_x",
                "recovery", "verdict"});
   table.PrintHeader();
-  bool all_pass = true;
+  Gates gate("A1");
 
   for (const double severity : {0.0, 0.5, 1.0}) {
     today.severity = severity;
@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
       pass = pass && swaps >= 1 && recovery >= kRecoveryFloor &&
              control_frac <= kControlCeiling;
     }
-    all_pass = all_pass && pass;
 
     auto row = [&](const char* name, uint64_t cycles, double eff, double drift,
                    int row_swaps, const std::string& max_x,
@@ -220,7 +219,7 @@ int main(int argc, char** argv) {
         "-", "1.00", "-");
     row("adapt", adapting->run.run.total_cycles, eff_adapt,
         adapting->final_drift, swaps, Fmt("%.3f", epoch_max_x),
-        Fmt("%.2f", recovery), pass ? "pass" : "FAIL");
+        Fmt("%.2f", recovery), gate.Record(pass));
     for (size_t i = 0; i < epochs; ++i) {
       const auto& e = adapting->epochs[i];
       std::printf(
@@ -261,10 +260,5 @@ int main(int argc, char** argv) {
       "slowdown vs baseline, bounded by %.2fx even mid-adaptation.\n",
       100.0 * kRecoveryFloor, kSlowdownBound);
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nA1: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nA1: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

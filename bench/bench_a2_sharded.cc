@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   JsonWriter json("A2", argc, argv);
   const sim::MachineConfig machine_config = sim::MachineConfig::SkylakeLike();
   const auto batch = MakeScavengedBatch(machine_config);
-  bool all_pass = true;
+  Gates gate("A2");
 
   // Shared scaffolding: yesterday's all-phase-A twin provides the stale
   // instrumentation every scenario starts from; today all traffic is phase B.
@@ -178,12 +178,11 @@ int main(int argc, char** argv) {
     const bool shard_pass = shard.swaps >= 1 && recovery >= kRecoveryFloor;
     table.PrintRow({std::to_string(s), std::to_string(shard.epochs.size()),
                     std::to_string(shard.swaps), Fmt("%.3f", steady),
-                    Fmt("%.2f", recovery), shard_pass ? "pass" : "FAIL"});
-    all_pass = all_pass && shard_pass;
+                    Fmt("%.2f", recovery), gate.Record(shard_pass)});
   }
   const size_t overlaps = OverlappingSwapEpochs(group);
   const bool converges = group.rebuilds < independent_rebuilds;
-  all_pass = all_pass && overlaps == 0 && converges;
+  gate.Record(overlaps == 0 && converges);
   for (const auto& [epoch, shard] : group.swap_log) {
     std::printf("    swap: group epoch %zu -> shard %zu\n", epoch, shard);
   }
@@ -233,12 +232,11 @@ int main(int argc, char** argv) {
   const bool zipf_pass = zipf_all_swapped &&
                          max_appearance <= kAppearanceCeiling &&
                          max_divergence > 0.0;
-  all_pass = all_pass && zipf_pass;
   std::printf(
       "  swaps=%d max_appearance=%.3f (ceiling %.2f) max_divergence=%.3f "
       "results=all %d correct -> %s\n\n",
       zipf_swaps, max_appearance, kAppearanceCeiling, max_divergence,
-      2 * kRequestsPerShard, zipf_pass ? "pass" : "FAIL");
+      2 * kRequestsPerShard, gate.Record(zipf_pass));
   json.Add("scenario2", {{"swaps", static_cast<double>(zipf_swaps)},
                          {"max_appearance", max_appearance},
                          {"max_divergence", max_divergence},
@@ -255,7 +253,7 @@ int main(int argc, char** argv) {
   const double cold_epoch0 = MeanFirstEpochEfficiency(group);
   const double warm_epoch0 = MeanFirstEpochEfficiency(*warm);
   const bool warm_pass = warm->warm_started && warm_epoch0 > cold_epoch0;
-  all_pass = all_pass && warm_pass;
+  gate.Record(warm_pass);
   std::printf(
       "  warm_started=%s epoch0_eff cold=%.3f warm=%.3f -> %s\n",
       warm->warm_started ? "yes" : "no", cold_epoch0, warm_epoch0,
@@ -272,10 +270,5 @@ int main(int argc, char** argv) {
       "The group must beat four independent servers on rebuild count because\n"
       "one generation built from the SHARED store is reused by later shards.\n");
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nA2: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nA2: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

@@ -110,12 +110,7 @@ int main(int argc, char** argv) {
   const workloads::PhasedChase& chase = drift.chase;
   std::printf("stale pipeline (phase-A profile): %s\n", stale.Summary().c_str());
 
-  bool all_pass = true;
-  auto gate = [&](bool pass, const char* what) {
-    std::printf("  gate %-52s %s\n", what, pass ? "pass" : "FAIL");
-    all_pass = all_pass && pass;
-    return pass;
-  };
+  Gates gate("O1");
 
   // --- the three runs -------------------------------------------------------
   const ScenarioResult seed = RunScenario(chase, stale, pipeline, nullptr, nullptr);
@@ -298,7 +293,7 @@ int main(int argc, char** argv) {
                          {"surviving_sites", static_cast<double>(surviving)},
                          {"trace_hidden_sites",
                           static_cast<double>(trace_hidden.size())},
-                         {"pass", all_pass ? 1.0 : 0.0}});
+                         {"pass", gate.all_pass() ? 1.0 : 0.0}});
 
   std::printf(
       "\nReading: the disabled row is the cost of SHIPPING the recorder (a\n"
@@ -308,10 +303,5 @@ int main(int argc, char** argv) {
       "domains key yield accounting by ORIGINAL-binary site and metrics are\n"
       "published at the same safe points swaps happen at.\n");
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nO1: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nO1: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

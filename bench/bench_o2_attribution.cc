@@ -129,12 +129,7 @@ int main(int argc, char** argv) {
   const workloads::PhasedChase& chase = drift.chase;
   std::printf("stale pipeline (phase-A profile): %s\n", stale.Summary().c_str());
 
-  bool all_pass = true;
-  auto gate = [&](bool pass, const char* what) {
-    std::printf("  gate %-52s %s\n", what, pass ? "pass" : "FAIL");
-    all_pass = all_pass && pass;
-    return pass;
-  };
+  Gates gate("O2");
 
   // --- the scenario matrix --------------------------------------------------
   const ScenarioResult seed =
@@ -372,7 +367,7 @@ int main(int argc, char** argv) {
                          {"stream_events", static_cast<double>(recorder.recorded())},
                          {"stream_sites",
                           static_cast<double>(stream_profiler.stream_sites().size())},
-                         {"pass", all_pass ? 1.0 : 0.0}});
+                         {"pass", gate.all_pass() ? 1.0 : 0.0}});
 
   std::printf(
       "\nReading: exact sums are the point — every class is a claim about\n"
@@ -381,10 +376,5 @@ int main(int argc, char** argv) {
       "hooks, drained trace stream) are independent paths to the same books,\n"
       "keyed by ORIGINAL-binary site so a hot swap cannot split a series.\n");
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nO2: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nO2: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
 
   Banner("Q1", "multi-tenant QoS: drift isolation under a noisy neighbor");
   JsonWriter json("Q1", argc, argv);
-  bool all_pass = true;
+  Gates gate("Q1");
 
   workloads::PhasedChase::Config today;
   today.num_nodes = kChaseNodes;
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
         ledgers = ledgers && fr.ConservationHolds() &&
                   fr.TenantLedgersConsistent();
       }
-      all_pass = all_pass && ledgers;
+      gate.Record(ledgers);
       table.PrintRow({run, outcome->fronts[0].tenants[t].spec.name,
                       std::to_string(offered), std::to_string(shed),
                       std::to_string(completed), FmtU(p50), FmtU(p99),
@@ -205,17 +205,15 @@ int main(int argc, char** argv) {
   // times; the victim's serving generation is untouched end to end.
   const bool aware_isolated =
       aware->group.tenant_quarantines >= 1 && TotalSwaps(*aware) == 0;
-  all_pass = all_pass && aware_isolated;
   std::printf("\n  aware: quarantines=%d swaps=%d -> %s\n",
               aware->group.tenant_quarantines, TotalSwaps(*aware),
-              aware_isolated ? "pass" : "FAIL");
+              gate.Record(aware_isolated));
 
   // Gate 2: blind — the identical drift drives group-wide swaps, so the
   // churn the aware run suppressed is real.
   const bool blind_churns = TotalSwaps(*blind) >= 1;
-  all_pass = all_pass && blind_churns;
   std::printf("  blind: swaps=%d (>= 1) -> %s\n", TotalSwaps(*blind),
-              blind_churns ? "pass" : "FAIL");
+              gate.Record(blind_churns));
 
   // Gate 3: the victim's declared p99 budget holds with isolation and breaks
   // without it — the win is visible in the tail.
@@ -223,13 +221,12 @@ int main(int argc, char** argv) {
   const uint64_t blind_p99 = VictimP99(*blind);
   const bool budget_ok = aware_p99 <= kVictimBudget;
   const bool blind_violates = blind_p99 > kVictimBudget;
-  all_pass = all_pass && budget_ok && blind_violates;
   std::printf("  victim p99: aware %s <= budget %s -> %s\n",
               FmtU(aware_p99).c_str(), FmtU(kVictimBudget).c_str(),
-              budget_ok ? "pass" : "FAIL");
+              gate.Record(budget_ok));
   std::printf("  victim p99: blind %s >  budget %s -> %s\n",
               FmtU(blind_p99).c_str(), FmtU(kVictimBudget).c_str(),
-              blind_violates ? "pass" : "FAIL");
+              gate.Record(blind_violates));
 
   // Gate 4: determinism — the aware scenario reruns bit-identically.
   auto rerun = RunScenario(drifted, twin, stale, pipeline, true);
@@ -253,7 +250,7 @@ int main(int argc, char** argv) {
                           rerun->fronts[s].tenants[t].latency.P99();
     }
   }
-  all_pass = all_pass && deterministic;
+  gate.Record(deterministic);
   std::printf("  determinism: aware rerun %s\n",
               deterministic ? "bit-identical per-tenant ledgers (pass)"
                             : "DIVERGED (FAIL)");
@@ -281,10 +278,5 @@ int main(int argc, char** argv) {
       "to the antagonist's phase instead; the victim pays for the churn in\n"
       "its tail.\n");
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nQ1: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nQ1: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

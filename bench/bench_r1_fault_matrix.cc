@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   json.Add("baseline", {{"cycles", static_cast<double>(baseline.total_cycles)},
                         {"efficiency", baseline.efficiency}});
 
-  bool all_within_bound = true;
+  Gates gate("R1");
 
   // One matrix row: instrument `target` against `profile`, run quarantine
   // off/on, compare to `base_cycles`.
@@ -147,14 +147,13 @@ int main(int argc, char** argv) {
     const DualOutcome on = RunDual(chase, binary, batch, machine_config,
                                    /*with_factory=*/true, /*quarantine=*/true);
     if (!off.ok || !on.ok) {
-      all_within_bound = false;
-      table.PrintRow({label, "-", "-", "-", "CRASH", "-", "-", "-", "-", "FAIL"});
+      table.PrintRow({label, "-", "-", "-", "CRASH", "-", "-", "-", "-",
+                      gate.Record(false)});
       return;
     }
     const double off_x = static_cast<double>(off.total_cycles) / base_cycles;
     const double on_x = static_cast<double>(on.total_cycles) / base_cycles;
     const bool within = on_x <= kSlowdownBound;
-    all_within_bound = all_within_bound && within;
     json.Add(label, {{"off_x", off_x},
                      {"on_x", on_x},
                      {"efficiency_on", on.efficiency},
@@ -167,7 +166,7 @@ int main(int argc, char** argv) {
          std::to_string(primary_report.skid_rejected), verify,
          Fmt("%.3f", off_x), Fmt("%.3f", on_x),
          StrFormat("%llu/%zu", (unsigned long long)on.sites_quarantined, on.sites_tracked),
-         Fmt("%.3f", on.efficiency), within ? "pass" : "FAIL"});
+         Fmt("%.3f", on.efficiency), gate.Record(within)});
   };
 
   // Clean row: the fault-free pipeline must keep its efficiency win and stay
@@ -201,7 +200,7 @@ int main(int argc, char** argv) {
         if (!drifted.ok()) {
           std::fprintf(stderr, "%s: drift failed: %s\n", label.c_str(),
                        drifted.status().ToString().c_str());
-          all_within_bound = false;
+          gate.Record(false);
           continue;
         }
         std::printf("  [%s] %s\n", label.c_str(), drifted->report.ToString().c_str());
@@ -209,7 +208,7 @@ int main(int argc, char** argv) {
             RunDual(chase, runtime::AnnotateManualYields(drifted->program, machine_config.cost),
                     batch, machine_config, /*with_factory=*/false, /*quarantine=*/false);
         if (!drift_baseline.ok) {
-          all_within_bound = false;
+          gate.Record(false);
           continue;
         }
         run_row(label, drifted->program, clean.profile, drift_baseline.total_cycles);
@@ -233,10 +232,5 @@ int main(int argc, char** argv) {
       "efficiency win: quarantine never fires on yields that hide real misses.\n",
       300u, kSlowdownBound);
   json.Flush();
-  if (!all_within_bound) {
-    std::printf("\nR1: BOUND VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nR1: all rows within %.2fx\n", kSlowdownBound);
-  return 0;
+  return gate.Finish();
 }

@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   JsonWriter json("R2", argc, argv);
   const sim::MachineConfig machine_config = sim::MachineConfig::SkylakeLike();
   const auto batch = MakeScavengedBatch(machine_config);
-  bool all_pass = true;
+  Gates gate("R2");
 
   // Yesterday's stale phase-A twin and today's drifted service (A2 sc. 1).
   workloads::PhasedChase::Config today;
@@ -214,12 +214,11 @@ int main(int argc, char** argv) {
   const bool r0_pass =
       recovery_r0 >= kRecoveryFloor && OverlappingSwapEpochs(r0->report) == 0 &&
       ExposureBounded(r0->report, kGuardWindow) && r0->report.rollbacks == 0;
-  all_pass = all_pass && r0_pass;
   std::printf(
       "[R0] fault-free guarded: recovery=%.2f canaries=%d promotes=%d "
       "results=all %zu correct -> %s\n\n",
       recovery_r0, r0->report.canaries, r0->report.promotes,
-      kShards * kRequestsPerShard, r0_pass ? "pass" : "FAIL");
+      kShards * kRequestsPerShard, gate.Record(r0_pass));
   json.Add("r0", {{"recovery", recovery_r0},
                   {"canaries", static_cast<double>(r0->report.canaries)},
                   {"pass", r0_pass ? 1.0 : 0.0}});
@@ -268,7 +267,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "  %s run failed: %s\n", row.name.c_str(),
                      run.status().ToString().c_str());
         rows.push_back(row);
-        all_pass = false;
+        gate.Record(false);
         table.PrintRow({label, Fmt("%.1f", severity), "-", "-", "-", "-",
                         "-", "CRASH"});
         continue;
@@ -299,7 +298,6 @@ int main(int argc, char** argv) {
       }
       row.pass = row.ran && row.exposure && row.signal &&
                  row.recovery >= recovery_bar;
-      all_pass = all_pass && row.pass;
       if (!row.pass) {
         for (const adapt::GuardEvent& ev : report.guard_log) {
           std::printf("    guard: %s\n", ev.ToString().c_str());
@@ -309,7 +307,7 @@ int main(int argc, char** argv) {
                       std::to_string(report.canaries),
                       std::to_string(report.rollbacks),
                       row.signal ? "yes" : "NO", row.exposure ? "ok" : "BROKEN",
-                      row.pass ? "pass" : "FAIL"});
+                      gate.Record(row.pass)});
       json.Add(row.name,
                {{"recovery", row.recovery},
                 {"canaries", static_cast<double>(report.canaries)},
@@ -333,10 +331,5 @@ int main(int argc, char** argv) {
       "one confirmation window.\n",
       kFaultRecoveryShare * 100.0, recovery_r0);
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nR2: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nR2: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }

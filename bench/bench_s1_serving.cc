@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
 
   Banner("S1", "open-loop serving: tail latency and goodput across a load sweep");
   JsonWriter json("S1", argc, argv);
-  bool all_pass = true;
+  Gates gate("S1");
 
   workloads::PhasedChase::Config wl;
   wl.num_nodes = kChaseNodes;
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     point.instr = instr->report;
     for (const auto* r : {&point.base, &point.instr}) {
       const bool conserved = r->ConservationHolds();
-      all_pass = all_pass && conserved;
+      gate.Record(conserved);
       table.PrintRow({Fmt("%.1f", u), r == &point.base ? "base" : "instr",
                       std::to_string(r->counters.offered),
                       std::to_string(r->counters.shed),
@@ -262,10 +262,8 @@ int main(int argc, char** argv) {
   // saturation.
   const bool sweep_ok = points.size() >= 5 && points.front().util < 0.5 &&
                         points.back().util > 1.0;
-  all_pass = all_pass && sweep_ok;
   std::printf("\n  sweep: %zu points, u=%.1f..%.1f -> %s\n", points.size(),
-              points.front().util, points.back().util,
-              sweep_ok ? "pass" : "FAIL");
+              points.front().util, points.back().util, gate.Record(sweep_ok));
 
   // Gate 2: tails — instrumented beats baseline on p99 AND p999 at every
   // pre-saturation point.
@@ -283,7 +281,7 @@ int main(int argc, char** argv) {
                 FmtU(P999(point.instr)).c_str(), FmtU(P999(point.base)).c_str(),
                 beats ? "pass" : "FAIL");
   }
-  all_pass = all_pass && tails_ok;
+  gate.Record(tails_ok);
 
   // Gate 3: goodput at the knee.
   const PointResult* knee = nullptr;
@@ -295,7 +293,7 @@ int main(int argc, char** argv) {
   const bool knee_ok =
       knee != nullptr &&
       knee->instr.counters.completed >= knee->base.counters.completed;
-  all_pass = all_pass && knee_ok;
+  gate.Record(knee_ok);
   if (knee != nullptr) {
     std::printf("  knee u=%.1f goodput: instr %llu >= base %llu -> %s\n",
                 kKneeUtil,
@@ -322,17 +320,16 @@ int main(int argc, char** argv) {
   const bool instr_overload_ok =
       deep->ConservationHolds() && deep->counters.shed > 0 &&
       static_cast<double>(deep->latency.P99()) <= p99_ceiling;
-  all_pass = all_pass && base_overload_ok && instr_overload_ok;
   std::printf("  overload u=%.1f base: shed=%llu p99=%s (ceiling %.0f) -> %s\n",
               kOverloadUtil,
               static_cast<unsigned long long>(over->base.counters.shed),
               FmtU(over->base.latency.P99()).c_str(), p99_ceiling,
-              base_overload_ok ? "pass" : "FAIL");
+              gate.Record(base_overload_ok));
   std::printf("  overload u=%.1f instr: shed=%llu p99=%s (ceiling %.0f) -> %s\n",
               kDeepOverloadUtil,
               static_cast<unsigned long long>(deep->counters.shed),
               FmtU(deep->latency.P99()).c_str(), p99_ceiling,
-              instr_overload_ok ? "pass" : "FAIL");
+              gate.Record(instr_overload_ok));
   json.Add("overload",
            {{"base_shed", static_cast<double>(over->base.counters.shed)},
             {"deep_util", kDeepOverloadUtil},
@@ -365,7 +362,7 @@ int main(int argc, char** argv) {
       first->latency.P50() == repeat->latency.P50() &&
       first->latency.P99() == repeat->latency.P99() &&
       P999(*first) == P999(*repeat);
-  all_pass = all_pass && deterministic;
+  gate.Record(deterministic);
   std::printf("  determinism u=0.7 rerun: %s\n",
               deterministic ? "bit-identical counters and quantiles (pass)"
                             : "DIVERGED (FAIL)");
@@ -384,10 +381,5 @@ int main(int argc, char** argv) {
       "dominates the baseline's p99/p999 collapses; at overload the bounded\n"
       "queue sheds instead of stretching the tail.\n");
   json.Flush();
-  if (!all_pass) {
-    std::printf("\nS1: GATE VIOLATED\n");
-    return 1;
-  }
-  std::printf("\nS1: all gates pass\n");
-  return 0;
+  return gate.Finish();
 }
