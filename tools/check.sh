@@ -2,6 +2,10 @@
 # Tier-1 verification in both plain and sanitized configurations:
 #   tools/check.sh            # build + ctest, plain then ASan+UBSan
 #   tools/check.sh --fast     # plain config only
+# After the plain config, the benchmark (yhbench/, its own CMake project over
+# src/) is built in Release under .bench_build/yhbench, as CI's yhbench job
+# builds it, and yhbench_test runs: a src/ change that breaks the benchmark
+# fails here too.
 # The sanitized config skips the `golden` bench and CLI output reruns
 # (ctest -LE golden): they compare outputs, not memory safety, and take
 # minutes under the sanitizers.
@@ -23,6 +27,12 @@ run_config() {
 }
 
 run_config build ""
+
+echo "=== configure + build .bench_build/yhbench (Release) ==="
+cmake -S yhbench -B .bench_build/yhbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build .bench_build/yhbench -j "$(nproc)"
+echo "=== yhbench_test ==="
+.bench_build/yhbench/yhbench_test
 
 if [[ "${1:-}" != "--fast" ]]; then
   run_config build-asan "-LE golden" -DYIELDHIDE_SANITIZE=address,undefined
