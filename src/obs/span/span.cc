@@ -208,7 +208,7 @@ void SpanCollector::OnPrimaryTaskStart(uint64_t now) {
   }
 }
 
-void SpanCollector::OnPrimaryStep(uint32_t issue_cycles, uint32_t wait_cycles) {
+void SpanCollector::OnPrimaryStep(uint64_t issue_cycles, uint64_t wait_cycles) {
   if (primary_active_ == nullptr) {
     return;
   }
@@ -278,8 +278,8 @@ SpanCollector::Active* SpanCollector::ScavengerRequest(int32_t ctx) {
   return last_active_;
 }
 
-void SpanCollector::OnScavengerStep(int32_t ctx, uint32_t issue_cycles,
-                                    uint32_t wait_cycles) {
+void SpanCollector::OnScavengerStep(int32_t ctx, uint64_t issue_cycles,
+                                    uint64_t wait_cycles) {
   if (Active* a = ScavengerRequest(ctx)) {
     a->issue += issue_cycles;
     a->wait += wait_cycles;

@@ -157,6 +157,33 @@ TEST(SpanCollectorTest, ScavengerContextReuseKeepsRequestsSeparate) {
   EXPECT_TRUE(spans.VerifyExactness().ok()) << spans.VerifyExactness();
 }
 
+TEST(SpanCollectorTest, StepSumsAboveFourBillionCyclesKeepEveryCycle) {
+  // A run between yields hands over its summed cycles at once; a scavenger
+  // that runs 2^32 cycles without yielding must not wrap them.
+  constexpr uint64_t kIssue = (uint64_t{1} << 32) + 7;
+  constexpr uint64_t kWait = (uint64_t{1} << 33) + 3;
+  SpanCollector spans;
+  spans.OnAdmit(1, 0, 0, 0);
+  spans.OnScavengerBind(/*ctx=*/4, 1, /*now=*/0);
+  spans.OnScavengerStep(4, kIssue, kWait);
+  spans.OnScavengerDone(4, /*now=*/kIssue + kWait);
+  spans.OnHarvest(1, kIssue + kWait, kIssue + kWait);
+  spans.OnAdmit(2, 0, 0, 0);
+  spans.OnDispatchPrimary(2, 0);
+  spans.OnPrimaryTaskStart(0);
+  spans.OnPrimaryStep(kIssue, kWait);
+  spans.OnPrimaryTaskEnd(kIssue + kWait);
+  spans.OnHarvest(2, kIssue + kWait, kIssue + kWait);
+
+  ASSERT_EQ(spans.completed_count(), 2u);
+  const uint64_t* totals = spans.class_totals();
+  EXPECT_EQ(totals[Idx(SpanClass::kScavExec)], kIssue);
+  EXPECT_EQ(totals[Idx(SpanClass::kScavStall)], kWait);
+  EXPECT_EQ(totals[Idx(SpanClass::kExecPrimary)], kIssue);
+  EXPECT_EQ(totals[Idx(SpanClass::kStallExposed)], kWait);
+  EXPECT_TRUE(spans.VerifyExactness().ok()) << spans.VerifyExactness();
+}
+
 TEST(SpanCollectorTest, CounterOvershootIsAnAnomalyNotASilentLie) {
   SpanCollector spans;
   spans.OnAdmit(9, 0, 0, 0);
