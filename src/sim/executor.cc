@@ -8,37 +8,49 @@ namespace {
 constexpr size_t kMaxCallDepth = 4096;
 }  // namespace
 
+// The state an instruction reads or writes besides the registers, the call
+// stack, memory and the rarely moved counters. Step() and Run() keep it in
+// locals, which the compiler holds in registers for a whole run, and load it
+// from and store it to the context and the machine once per step or run.
+struct Executor::Frame {
+  const isa::Instruction* code;
+  size_t size;
+  isa::Addr pc;
+  uint64_t now;
+  // Set by the instruction just executed.
+  uint32_t issue_cycles = 0;
+  uint32_t wait_cycles = 0;
+  bool conditional_yield = false;
+};
+
 Executor::Executor(const isa::Program* program, Machine* machine)
     : program_(program), machine_(machine) {}
 
-StepResult Executor::Error(Status status) {
+StepEvent Executor::Fail(Status status) {
   error_ = std::move(status);
-  StepResult result;
-  result.event = StepEvent::kError;
-  return result;
+  return StepEvent::kError;
 }
 
-StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
+// Inlined into Step() and Run(), so Run() keeps the frame in registers.
+[[gnu::always_inline]] inline StepEvent Executor::Execute(CpuContext& ctx,
+                                                          Frame& frame,
+                                                          const CostModel& cost,
+                                                          StallPolicy policy) {
   using isa::Opcode;
 
-  if (ctx.halted) {
-    StepResult result;
-    result.event = StepEvent::kHalted;
-    return result;
-  }
-  if (ctx.pc >= program_->size()) {
-    return Error(OutOfRangeError(
-        StrFormat("pc %u outside program of size %zu", ctx.pc, program_->size())));
+  if (frame.pc >= frame.size) {
+    return Fail(OutOfRangeError(
+        StrFormat("pc %u outside program of size %zu", frame.pc, frame.size)));
   }
 
-  const isa::Addr ip = ctx.pc;
-  const isa::Instruction insn = program_->at(ip);
-  const CostModel& cost = machine_->config().cost;
+  const isa::Addr ip = frame.pc;
+  const isa::Instruction insn = frame.code[ip];
   auto& regs = ctx.regs;
-  const uint64_t now = machine_->now();
+  const uint64_t now = frame.now;
 
-  StepResult result;
-  result.issue_cycles = cost.alu_cycles;
+  StepEvent event = StepEvent::kExecuted;
+  uint32_t issue = cost.alu_cycles;
+  uint32_t wait = 0;
   isa::Addr next_pc = ip + 1;
 
   switch (insn.op) {
@@ -52,7 +64,7 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
       break;
     case Opcode::kMul:
       regs[insn.rd] = regs[insn.rs1] * regs[insn.rs2];
-      result.issue_cycles = cost.mul_cycles;
+      issue = cost.mul_cycles;
       break;
     case Opcode::kAnd:
       regs[insn.rd] = regs[insn.rs1] & regs[insn.rs2];
@@ -83,7 +95,7 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
       break;
     case Opcode::kMuli:
       regs[insn.rd] = regs[insn.rs1] * static_cast<uint64_t>(insn.imm);
-      result.issue_cycles = cost.mul_cycles;
+      issue = cost.mul_cycles;
       break;
     case Opcode::kMovi:
       regs[insn.rd] = static_cast<uint64_t>(insn.imm);
@@ -100,17 +112,17 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
               : regs[insn.rs1] + regs[insn.rs2] * static_cast<uint64_t>(insn.imm);
       const AccessResult access = machine_->hierarchy().AccessLoad(vaddr, now);
       const uint32_t hit_cost = machine_->config().hierarchy.l1.latency_cycles;
-      result.issue_cycles = access.latency_cycles < hit_cost ? access.latency_cycles : hit_cost;
-      result.wait_cycles = access.latency_cycles - result.issue_cycles;
+      issue = access.latency_cycles < hit_cost ? access.latency_cycles : hit_cost;
+      wait = access.latency_cycles - issue;
       regs[insn.rd] = machine_->memory().Read64(vaddr);
       ++ctx.loads;
       if (access.level != HitLevel::kL1 || access.hit_inflight) {
         ++ctx.load_misses;
       }
       machine_->listeners().OnLoad(ctx.id, ip, vaddr, access.level,
-                                   access.hit_inflight, result.wait_cycles, now);
-      if (result.wait_cycles > 0) {
-        machine_->listeners().OnStall(ctx.id, ip, result.wait_cycles, now);
+                                   access.hit_inflight, wait, now);
+      if (wait > 0) {
+        machine_->listeners().OnStall(ctx.id, ip, wait, now);
       }
       break;
     }
@@ -118,7 +130,7 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
       const uint64_t vaddr = regs[insn.rs1] + static_cast<uint64_t>(insn.imm);
       machine_->hierarchy().AccessStore(vaddr, now);
       machine_->memory().Write64(vaddr, regs[insn.rs2]);
-      result.issue_cycles = cost.store_cycles;
+      issue = cost.store_cycles;
       break;
     }
     case Opcode::kPrefetch: {
@@ -127,7 +139,7 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
       // one: the read this PREFETCH announces comes after other work.
       machine_->memory().HostPrefetch(vaddr);
       machine_->hierarchy().Prefetch(vaddr, now);
-      result.issue_cycles = cost.prefetch_cycles;
+      issue = cost.prefetch_cycles;
       machine_->listeners().OnPrefetch(ctx.id, ip, vaddr, now);
       break;
     }
@@ -156,90 +168,154 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
       if (taken) {
         next_pc = static_cast<isa::Addr>(insn.imm);
       }
-      result.issue_cycles = cost.branch_cycles;
+      issue = cost.branch_cycles;
       machine_->listeners().OnBranch(ctx.id, ip, next_pc, taken, now);
       break;
     }
     case Opcode::kJmp:
       next_pc = static_cast<isa::Addr>(insn.imm);
-      result.issue_cycles = cost.branch_cycles;
+      issue = cost.branch_cycles;
       machine_->listeners().OnBranch(ctx.id, ip, next_pc, true, now);
       break;
     case Opcode::kCall:
       if (ctx.call_stack.size() >= kMaxCallDepth) {
-        return Error(ResourceExhaustedError(
+        return Fail(ResourceExhaustedError(
             StrFormat("call stack overflow at ip %u", ip)));
       }
       ctx.call_stack.push_back(ip + 1);
       next_pc = static_cast<isa::Addr>(insn.imm);
-      result.issue_cycles = cost.call_ret_cycles;
+      issue = cost.call_ret_cycles;
       machine_->listeners().OnBranch(ctx.id, ip, next_pc, true, now);
       break;
     case Opcode::kRet:
       if (ctx.call_stack.empty()) {
-        return Error(FailedPreconditionError(
+        return Fail(FailedPreconditionError(
             StrFormat("ret with empty call stack at ip %u", ip)));
       }
       next_pc = ctx.call_stack.back();
       ctx.call_stack.pop_back();
-      result.issue_cycles = cost.call_ret_cycles;
+      issue = cost.call_ret_cycles;
       machine_->listeners().OnBranch(ctx.id, ip, next_pc, true, now);
       break;
 
     case Opcode::kYield:
-      result.event = StepEvent::kYielded;
-      result.conditional_yield = false;
-      result.issue_cycles = 0;  // switch cost is charged by the scheduler
+      event = StepEvent::kYielded;
+      frame.conditional_yield = false;
+      issue = 0;  // switch cost is charged by the scheduler
       machine_->listeners().OnYield(ctx.id, ip, false, now);
       break;
     case Opcode::kCyield:
       if (ctx.cyield_enabled) {
-        result.event = StepEvent::kYielded;
-        result.conditional_yield = true;
-        result.issue_cycles = 0;
+        event = StepEvent::kYielded;
+        frame.conditional_yield = true;
+        issue = 0;
         machine_->listeners().OnYield(ctx.id, ip, true, now);
       } else {
-        result.issue_cycles = cost.cyield_untaken_cycles;
+        issue = cost.cyield_untaken_cycles;
         ++ctx.cyields_skipped;
       }
       break;
 
     case Opcode::kHalt:
       ctx.halted = true;
-      result.event = StepEvent::kHalted;
-      result.issue_cycles = cost.halt_cycles;
+      event = StepEvent::kHalted;
+      issue = cost.halt_cycles;
       break;
     default:
-      return Error(InternalError(StrFormat("unhandled opcode at ip %u", ip)));
+      return Fail(InternalError(StrFormat("unhandled opcode at ip %u", ip)));
   }
 
   machine_->listeners().OnRetired(ctx.id, ip, insn.op, now);
-  ctx.pc = next_pc;
-  ++ctx.instructions;
-  ctx.issue_cycles += result.issue_cycles;
+  frame.pc = next_pc;
+  frame.issue_cycles = issue;
+  frame.wait_cycles = wait;
+  frame.now = now + issue + (policy == StallPolicy::kBlocking ? wait : 0);
+  return event;
+}
 
-  if (policy == StallPolicy::kBlocking) {
-    ctx.stall_cycles += result.wait_cycles;
-    machine_->AdvanceClock(result.issue_cycles + result.wait_cycles);
-  } else {
-    machine_->AdvanceClock(result.issue_cycles);
+StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
+  StepResult result;
+  if (ctx.halted) {
+    result.event = StepEvent::kHalted;
+    return result;
   }
+  const uint64_t start = machine_->now();
+  Frame frame{program_->code().data(), program_->size(), ctx.pc, start};
+  result.event = Execute(ctx, frame, machine_->config().cost, policy);
+  if (result.event == StepEvent::kError) {
+    return result;
+  }
+  result.issue_cycles = frame.issue_cycles;
+  result.wait_cycles = frame.wait_cycles;
+  result.conditional_yield = frame.conditional_yield;
+  ctx.pc = frame.pc;
+  ++ctx.instructions;
+  ctx.issue_cycles += frame.issue_cycles;
+  if (policy == StallPolicy::kBlocking) {
+    ctx.stall_cycles += frame.wait_cycles;
+  }
+  machine_->AdvanceClock(frame.now - start);
+  return result;
+}
+
+RunResult Executor::Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps) {
+  RunResult result;
+  result.ip = ctx.pc;
+  if (ctx.halted) {
+    result.event = StepEvent::kHalted;
+    return result;
+  }
+  const CostModel cost = machine_->config().cost;
+  const uint64_t start = machine_->now();
+  Frame frame{program_->code().data(), program_->size(), ctx.pc, start};
+  uint64_t steps = 0;
+  uint64_t issue_cycles = 0;
+  uint64_t wait_cycles = 0;
+  StepEvent event = StepEvent::kExecuted;
+  isa::Addr ip = frame.pc;
+  while (steps < max_steps) {
+    ip = frame.pc;
+    event = Execute(ctx, frame, cost, policy);
+    if (event == StepEvent::kError) {
+      break;
+    }
+    ++steps;
+    issue_cycles += frame.issue_cycles;
+    wait_cycles += frame.wait_cycles;
+    if (event != StepEvent::kExecuted) {
+      break;
+    }
+  }
+  ctx.pc = frame.pc;
+  ctx.instructions += steps;
+  ctx.issue_cycles += issue_cycles;
+  if (policy == StallPolicy::kBlocking) {
+    ctx.stall_cycles += wait_cycles;
+  }
+  machine_->AdvanceClock(frame.now - start);
+  result.event = event;
+  result.conditional_yield = frame.conditional_yield;
+  result.ip = ip;
+  result.steps = steps;
+  result.issue_cycles = issue_cycles;
+  result.wait_cycles = wait_cycles;
   return result;
 }
 
 Result<uint64_t> Executor::RunToCompletion(CpuContext& ctx, uint64_t max_instructions) {
   const uint64_t start = machine_->now();
-  const uint64_t start_insns = ctx.instructions;
+  uint64_t left = max_instructions;
   while (!ctx.halted) {
-    if (ctx.instructions - start_insns >= max_instructions) {
+    if (left == 0) {
       return ResourceExhaustedError(
           StrFormat("exceeded %llu instructions without halting",
                     static_cast<unsigned long long>(max_instructions)));
     }
-    const StepResult result = Step(ctx, StallPolicy::kBlocking);
-    if (result.event == StepEvent::kError) {
+    const RunResult run = Run(ctx, StallPolicy::kBlocking, left);
+    if (run.event == StepEvent::kError) {
       return error_;
     }
+    left -= run.steps;
     // kYielded with nobody to switch to: fall through at zero cost.
   }
   return machine_->now() - start;

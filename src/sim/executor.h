@@ -1,12 +1,17 @@
-// Executor: architectural state and single-step semantics for one software
+// Executor: architectural state and instruction semantics for one software
 // context executing a Program on a Machine.
 //
-// The executor is deliberately a *step* machine rather than a run loop: the
-// coroutine runtime (src/runtime) interleaves many contexts on one Machine by
-// stepping whichever context is scheduled, and the SMT core (smt_core.h)
-// multiplexes contexts at instruction granularity. Both use the same
-// semantics; they differ only in what they do with memory-wait cycles, which
-// is why Step() separates issue cost from memory wait.
+// Two entry points share one instruction body. Run() executes a context up to
+// the next step its caller must act on (a taken YIELD or CYIELD, a HALT, an
+// error) or until a step budget runs out, and keeps the program counter, the
+// clock and the counters in locals for the whole run: the coroutine runtime
+// (src/runtime) interleaves many contexts on one Machine by running whichever
+// context is scheduled to its next yield. Step() executes exactly one
+// instruction, for callers that must see every step: the SMT core
+// (smt_core.h) multiplexes contexts at instruction granularity, and a cycle
+// profiler attributes each step to its IP. The runtime and the SMT core
+// differ only in what they do with memory-wait cycles, which is why both
+// entry points separate issue cost from memory wait.
 #ifndef YIELDHIDE_SRC_SIM_EXECUTOR_H_
 #define YIELDHIDE_SRC_SIM_EXECUTOR_H_
 
@@ -68,7 +73,20 @@ struct StepResult {
   bool conditional_yield = false;  // event==kYielded via CYIELD
 };
 
-// How Step() should account memory waits.
+// What one Run() ended on.
+struct RunResult {
+  // The ending step's event: kYielded or kHalted as for Step(), kError with
+  // the reason in Executor::error(), or kExecuted when the step budget ran
+  // out.
+  StepEvent event = StepEvent::kExecuted;
+  bool conditional_yield = false;  // event==kYielded via CYIELD
+  isa::Addr ip = 0;                // the ending step's IP
+  uint64_t steps = 0;              // instructions retired by the run
+  uint64_t issue_cycles = 0;       // summed over those instructions
+  uint64_t wait_cycles = 0;
+};
+
+// How Step() and Run() should account memory waits.
 enum class StallPolicy : uint8_t {
   // In-order blocking core: the global clock advances by issue+wait and the
   // wait is recorded as context stall time. Used by the coroutine runtime.
@@ -94,6 +112,14 @@ class Executor {
   // A kError step leaves `ctx` unchanged and records why in error().
   StepResult Step(CpuContext& ctx, StallPolicy policy);
 
+  // Executes `ctx` as Step() would, step after step, until a step that
+  // yields, halts or fails, or until `max_steps` steps have retired. Every
+  // context counter, the clock and the events published equal those of the
+  // same steps taken one Step() at a time. A failing step leaves `ctx` at the
+  // failing instruction, after the steps before it, and records why in
+  // error(). A halted context runs no step and reports kHalted.
+  RunResult Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps);
+
   // Why the most recent kError step failed; OK before any error.
   const Status& error() const { return error_; }
 
@@ -106,7 +132,14 @@ class Executor {
   Machine& machine() { return *machine_; }
 
  private:
-  StepResult Error(Status status);
+  struct Frame;
+
+  // Executes the instruction at `frame.pc`: the one body Step() and Run()
+  // share.
+  StepEvent Execute(CpuContext& ctx, Frame& frame, const CostModel& cost,
+                    StallPolicy policy);
+  // Records why a step failed; returns kError.
+  StepEvent Fail(Status status);
 
   const isa::Program* program_;
   Machine* machine_;
