@@ -136,6 +136,7 @@ TEST(RoundRobinTest, InstructionBudgetEnforced) {
   RoundRobinScheduler sched(&binary, &machine);
   sched.AddCoroutine(nullptr);
   EXPECT_EQ(sched.Run(100).status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(sched.context(0).instructions, 100u);  // the budget, exactly
 }
 
 TEST(RoundRobinTest, CompletionsCarryLatencies) {
@@ -347,6 +348,7 @@ TEST_F(DualModeTest, InstructionBudgetEnforced) {
   DualModeScheduler sched(&primary_, &scavenger_, machine_.get(), config);
   sched.AddPrimaryTask(PrimaryTask(0));
   EXPECT_EQ(sched.Run().status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(sched.progress().run.instructions, 100u);  // the budget, exactly
 }
 
 // --- Site quarantine x external ready-queue supplier (§4.2 hook) ------------------

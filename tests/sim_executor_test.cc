@@ -189,6 +189,7 @@ TEST_F(ExecutorTest, InfiniteLoopHitsBudget) {
   ctx.ResetArchState(0);
   auto result = executor.RunToCompletion(ctx, 1000);
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ctx.instructions, 1000u);  // the budget, exactly
 }
 
 TEST_F(ExecutorTest, YieldReportsAndContinues) {
