@@ -135,6 +135,8 @@ class CycleProfiler {
   void OnPrimarySwitch(uint64_t yield_ip, uint32_t cost_cycles, bool useful);
   // A switch charge with no burst semantics (round-robin halt restores).
   void OnSwitch(uint64_t ip, uint32_t cost_cycles);
+  // Scavenger issue + wait cycles of one step, or summed over a run of steps
+  // between yields.
   void OnScavengerStep(uint64_t issue_cycles, uint64_t wait_cycles);
   void OnScavengerSwitch(uint32_t cost_cycles);
   void OnSelfResume(uint32_t cost_cycles);

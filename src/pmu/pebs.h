@@ -11,8 +11,8 @@
 //
 // Like a hardware counter preloaded with -period, the sampler keeps a
 // countdown to its next sample. It subscribes to its one event only, and for
-// retired instructions the machine's event bus decrements the countdown in
-// place, so the sampler runs only at sample points. Jitter and skid draws
+// retired instructions the machine's event bus counts the countdown down, so
+// the sampler runs only at sample points. Jitter and skid draws
 // happen only there, so the sample stream is the one a sampler fed every
 // event would emit; tests/pmu_diff_test.cc checks that against a reference.
 #ifndef YIELDHIDE_SRC_PMU_PEBS_H_
@@ -55,6 +55,8 @@ class PebsSampler : public sim::EventListener {
   std::vector<PebsSample> Drain();
 
   const PebsConfig& config() const { return config_; }
+  // For retired instructions, exact once the bus has applied the
+  // retirements it counted (see src/sim/events.h), e.g. after a Remove.
   uint64_t event_count() const { return next_sample_at_ - countdown_; }
   uint64_t samples_taken() const { return samples_taken_; }
   uint64_t samples_dropped() const { return samples_dropped_; }
