@@ -12,6 +12,8 @@
 // "skip") and leaf levels miss (probe says "yield") — the exact
 // often-but-not-always case the paper says profile-guided placement should
 // target with conditional yields.
+#include <limits>
+
 #include "bench/bench_util.h"
 #include "src/workloads/btree_lookup.h"
 
@@ -58,54 +60,46 @@ GatedRunResult RunGated(const workloads::SimWorkload& workload,
 
   while (live > 0) {
     sim::CpuContext& ctx = contexts[current];
-    const isa::Addr ip = ctx.pc;
-    const sim::StepResult step = executor.Step(ctx, sim::StallPolicy::kBlocking);
-    switch (step.event) {
-      case sim::StepEvent::kError:
-        std::fprintf(stderr, "gated run error: %s\n", executor.error().ToString().c_str());
-        return result;
-      case sim::StepEvent::kExecuted:
-        break;
-      case sim::StepEvent::kYielded: {
-        if (probe_gated && ctx.pc < binary.program.size()) {
-          // The instrumented idiom places the covered load right after the
-          // yield; probe the line it will touch.
-          const isa::Instruction& next = binary.program.at(ctx.pc);
-          if (isa::ClassOf(next.op) == isa::OpClass::kLoad) {
-            const uint64_t vaddr =
-                next.op == isa::Opcode::kLoad
-                    ? ctx.regs[next.rs1] + static_cast<uint64_t>(next.imm)
-                    : ctx.regs[next.rs1] +
-                          ctx.regs[next.rs2] * static_cast<uint64_t>(next.imm);
-            machine.AdvanceClock(kProbeCycles);
-            ctx.issue_cycles += kProbeCycles;
-            if (machine.hierarchy().WouldHitFast(vaddr, machine.now(), kFastThreshold)) {
-              ++result.yields_skipped;
-              break;  // line is close: keep running, no switch
-            }
-          }
-        }
-        const int next_idx = next_live(current);
-        if (next_idx >= 0 && static_cast<size_t>(next_idx) != current) {
-          auto it = binary.yields.find(ip);
-          const uint32_t cost = it != binary.yields.end() && it->second.switch_cycles > 0
-                                    ? it->second.switch_cycles
-                                    : machine_config.cost.yield_switch_cycles;
-          machine.AdvanceClock(cost);
-          ctx.switch_cycles += cost;
-          ++result.yields_taken;
-          current = static_cast<size_t>(next_idx);
-        }
-        break;
+    const sim::RunResult run = executor.Run(ctx, sim::StallPolicy::kBlocking,
+                                            std::numeric_limits<uint64_t>::max());
+    if (run.event == sim::StepEvent::kError) {
+      std::fprintf(stderr, "gated run error: %s\n", executor.error().ToString().c_str());
+      return result;
+    }
+    if (run.event == sim::StepEvent::kHalted) {
+      --live;
+      const int next_idx = next_live(current);
+      if (next_idx >= 0) {
+        current = static_cast<size_t>(next_idx);
       }
-      case sim::StepEvent::kHalted: {
-        --live;
-        const int next_idx = next_live(current);
-        if (next_idx >= 0) {
-          current = static_cast<size_t>(next_idx);
+      continue;
+    }
+    // Yielded: an unbounded run ends on nothing else.
+    if (probe_gated && ctx.pc < binary.program.size()) {
+      // The instrumented idiom places the covered load right after the
+      // yield; probe the line it will touch.
+      const isa::Instruction& next = binary.program.at(ctx.pc);
+      if (isa::ClassOf(next.op) == isa::OpClass::kLoad) {
+        const uint64_t vaddr =
+            next.op == isa::Opcode::kLoad
+                ? ctx.regs[next.rs1] + static_cast<uint64_t>(next.imm)
+                : ctx.regs[next.rs1] +
+                      ctx.regs[next.rs2] * static_cast<uint64_t>(next.imm);
+        machine.AdvanceClock(kProbeCycles);
+        ctx.issue_cycles += kProbeCycles;
+        if (machine.hierarchy().WouldHitFast(vaddr, machine.now(), kFastThreshold)) {
+          ++result.yields_skipped;
+          continue;  // line is close: keep running, no switch
         }
-        break;
       }
+    }
+    const int next_idx = next_live(current);
+    if (next_idx >= 0 && static_cast<size_t>(next_idx) != current) {
+      const uint32_t cost = runtime::SwitchCostAt(binary, run.ip, machine_config.cost);
+      machine.AdvanceClock(cost);
+      ctx.switch_cycles += cost;
+      ++result.yields_taken;
+      current = static_cast<size_t>(next_idx);
     }
   }
 

@@ -90,8 +90,8 @@ SiteCycles* CycleProfiler::SiteAt(uint64_t ip) {
   return ip < covering_.size() ? covering_[ip] : external_;
 }
 
-void CycleProfiler::OnPrimaryStep(uint64_t ip, uint64_t issue_cycles,
-                                  uint64_t wait_cycles) {
+void CycleProfiler::OnStep(isa::Addr ip, uint32_t issue_cycles,
+                           uint32_t wait_cycles) {
   if (!config_.enabled || !running_) {
     return;
   }

@@ -51,6 +51,7 @@
 #include "src/common/stats.h"
 #include "src/instrument/types.h"
 #include "src/obs/trace.h"
+#include "src/sim/executor.h"
 
 namespace yieldhide::obs {
 
@@ -111,7 +112,7 @@ struct StreamSiteCounts {
   uint64_t switch_cycles = 0;
 };
 
-class CycleProfiler {
+class CycleProfiler : public sim::StepObserver {
  public:
   explicit CycleProfiler(const CycleProfilerConfig& config = CycleProfilerConfig());
 
@@ -128,8 +129,9 @@ class CycleProfiler {
   void OnRunBegin(uint64_t now_cycles);
 
   // --- inline accounting hooks (feed (a)) ---
-  // One primary-executor step at `ip` costing issue + wait cycles.
-  void OnPrimaryStep(uint64_t ip, uint64_t issue_cycles, uint64_t wait_cycles);
+  // One primary step at `ip` costing issue + wait cycles: the schedulers pass
+  // the profiler to every primary's Executor::Run, which reports each step.
+  void OnStep(isa::Addr ip, uint32_t issue_cycles, uint32_t wait_cycles) override;
   // A primary yield actually switching out: opens a burst attributed to the
   // yield's site. `useful` is the scheduler's YieldLooksUseful verdict.
   void OnPrimarySwitch(uint64_t yield_ip, uint32_t cost_cycles, bool useful);

@@ -4,6 +4,15 @@
 
 namespace yieldhide::runtime {
 
+uint32_t SwitchCostAt(const instrument::InstrumentedProgram& binary,
+                      isa::Addr yield_ip, const sim::CostModel& cost) {
+  auto it = binary.yields.find(yield_ip);
+  if (it != binary.yields.end() && it->second.switch_cycles > 0) {
+    return it->second.switch_cycles;
+  }
+  return cost.yield_switch_cycles;
+}
+
 instrument::InstrumentedProgram AnnotateManualYields(const isa::Program& program,
                                                      const sim::CostModel& cost) {
   instrument::InstrumentedProgram out;

@@ -5,12 +5,11 @@
 #include <set>
 
 #include "src/common/strings.h"
-#include "src/runtime/primary_run.h"
+#include "src/runtime/annotate.h"
 
 namespace yieldhide::runtime {
 
 namespace {
-constexpr uint32_t kSelfResumeCycles = 2;
 // A site is quarantined once fewer than this fraction of its (at least
 // kQuarantineMinVisits) visits looked useful.
 constexpr double kQuarantineMinUsefulFraction = 0.25;
@@ -263,15 +262,6 @@ Status DualModeScheduler::SwapBinaries(
   return Status::Ok();
 }
 
-uint32_t DualModeScheduler::SwitchCostAt(const instrument::InstrumentedProgram& binary,
-                                         isa::Addr yield_ip) const {
-  auto it = binary.yields.find(yield_ip);
-  if (it != binary.yields.end() && it->second.switch_cycles > 0) {
-    return it->second.switch_cycles;
-  }
-  return machine_->config().cost.yield_switch_cycles;
-}
-
 bool DualModeScheduler::YieldLooksUseful(const sim::CpuContext& primary,
                                          isa::Addr yield_ip,
                                          uint32_t switch_cost) const {
@@ -488,7 +478,8 @@ Status DualModeScheduler::RunScavengerBurst() {
     }
 
     // Yielded. Charge the switch out of this scavenger wherever it goes.
-    const uint32_t cost = SwitchCostAt(*scavenger_binary_, ip);
+    const uint32_t cost =
+        SwitchCostAt(*scavenger_binary_, ip, machine_->config().cost);
     obs::TraceEmit(trace_, obs::TraceEventType::kCoroSwitch, machine_->now(),
                    scavenger.ctx.id, ip, cost);
     if (profiler_ != nullptr) {
@@ -499,7 +490,6 @@ Status DualModeScheduler::RunScavengerBurst() {
     }
     machine_->AdvanceClock(cost);
     scavenger.ctx.switch_cycles += cost;
-    scavenger.ctx.yields_taken += 1;
     ++report_.run.yields;
 
     if (run.conditional_yield || window_consumed) {
@@ -545,8 +535,8 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
       if (report_.run.instructions >= config_.max_total_instructions) {
         return ResourceExhaustedError("dual-mode run exceeded instruction budget");
       }
-      const sim::RunResult run = RunPrimary(
-          primary_executor_, primary,
+      const sim::RunResult run = primary_executor_.Run(
+          primary, sim::StallPolicy::kBlocking,
           config_.max_total_instructions - report_.run.instructions, profiler_);
       report_.run.instructions += run.steps;
       if (spans_ != nullptr) {
@@ -557,7 +547,8 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
       }
       const isa::Addr ip = run.ip;
       if (run.event == sim::StepEvent::kYielded) {
-        const uint32_t cost = SwitchCostAt(*primary_binary_, ip);
+        const uint32_t cost =
+            SwitchCostAt(*primary_binary_, ip, machine_->config().cost);
         // Ungated sites (manual yields) default to useful, matching the
         // YieldLooksUseful fallback for sites with no prefetch sequence.
         bool yield_useful = true;
@@ -612,7 +603,6 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
         }
         machine_->AdvanceClock(cost);
         primary.switch_cycles += cost;
-        primary.yields_taken += 1;
         ++report_.run.yields;
         const uint64_t burst_begin = machine_->now();
         YH_RETURN_IF_ERROR(RunScavengerBurst());

@@ -260,8 +260,6 @@ class DualModeScheduler {
     bool exhausted = false;  // halted and not replaced
   };
 
-  uint32_t SwitchCostAt(const instrument::InstrumentedProgram& binary,
-                        isa::Addr yield_ip) const;
   // Inspects the prefetches emitted just before the primary yield at
   // `yield_ip`: true if any prefetched line would still be slow to load (the
   // yield is hiding real latency), false if everything is already fast (the

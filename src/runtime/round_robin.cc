@@ -1,14 +1,9 @@
 #include "src/runtime/round_robin.h"
 
 #include "src/common/strings.h"
-#include "src/runtime/primary_run.h"
+#include "src/runtime/annotate.h"
 
 namespace yieldhide::runtime {
-
-namespace {
-// Cost of a yield that finds nobody else runnable and falls through.
-constexpr uint32_t kSelfResumeCycles = 2;
-}  // namespace
 
 RoundRobinScheduler::RoundRobinScheduler(const instrument::InstrumentedProgram* binary,
                                          sim::Machine* machine)
@@ -33,14 +28,6 @@ void RoundRobinScheduler::SetProfiler(obs::CycleProfiler* profiler) {
   if (profiler_ != nullptr) {
     profiler_->OnBinary(binary_);
   }
-}
-
-uint32_t RoundRobinScheduler::SwitchCostAt(isa::Addr yield_ip) const {
-  auto it = binary_->yields.find(yield_ip);
-  if (it != binary_->yields.end() && it->second.switch_cycles > 0) {
-    return it->second.switch_cycles;
-  }
-  return machine_->config().cost.yield_switch_cycles;
 }
 
 Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
@@ -82,8 +69,9 @@ Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
                     static_cast<unsigned long long>(max_total_instructions)));
     }
     sim::CpuContext& ctx = contexts_[current];
-    const sim::RunResult run = RunPrimary(
-        executor_, ctx, max_total_instructions - report.instructions, profiler_);
+    const sim::RunResult run =
+        executor_.Run(ctx, sim::StallPolicy::kBlocking,
+                      max_total_instructions - report.instructions, profiler_);
     report.instructions += run.steps;
     const isa::Addr ip = run.ip;
 
@@ -91,11 +79,11 @@ Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
       case sim::StepEvent::kError:
         return executor_.error();
       case sim::StepEvent::kExecuted:
-        break;  // a step, or a run whose instruction budget ran out
+        break;  // the instruction budget ran out
       case sim::StepEvent::kYielded: {
         const int next = next_live(current);
         if (next >= 0 && static_cast<size_t>(next) != current) {
-          const uint32_t cost = SwitchCostAt(ip);
+          const uint32_t cost = SwitchCostAt(*binary_, ip, machine_->config().cost);
           if (profiler_ != nullptr) {
             // Symmetric ring: every switch "works" by construction, so the
             // visit counts as useful; no burst follows (no scavengers here).
@@ -103,7 +91,6 @@ Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
           }
           machine_->AdvanceClock(cost);
           ctx.switch_cycles += cost;
-          ctx.yields_taken += 1;
           report.switch_cycles += cost;
           ++report.yields;
           current = static_cast<size_t>(next);

@@ -48,8 +48,6 @@ class RoundRobinScheduler {
   const sim::CpuContext& context(int id) const { return contexts_[id]; }
 
  private:
-  uint32_t SwitchCostAt(isa::Addr yield_ip) const;
-
   const instrument::InstrumentedProgram* binary_;
   sim::Machine* machine_;
   sim::Executor executor_;

@@ -38,20 +38,17 @@ bool Cache::Contains(uint64_t line_addr) const {
 }
 
 bool Cache::Lookup(uint64_t line_addr) {
-  ++stats_.lookups;
   uint64_t* set = SetOf(line_addr);
   const uint32_t pos = Find(set, line_addr);
   if (pos == ways_) {
     return false;
   }
   Promote(set, pos);
-  ++stats_.hits;
   return true;
 }
 
 bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
   assert(line_addr != kEmpty);
-  ++stats_.installs;
   uint64_t* set = SetOf(line_addr);
   const uint32_t pos = Find(set, line_addr);
   if (pos < ways_) {
@@ -65,7 +62,6 @@ bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
   if (victim == kEmpty) {
     return false;
   }
-  ++stats_.evictions;
   if (evicted != nullptr) {
     *evicted = victim;
   }
@@ -74,7 +70,6 @@ bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
 
 void Cache::Reset() {
   std::fill(tags_.begin(), tags_.end(), kEmpty);
-  stats_ = Stats{};
 }
 
 }  // namespace yieldhide::sim

@@ -27,13 +27,6 @@ class Cache {
 
   void Reset();
 
-  struct Stats {
-    uint64_t lookups = 0;
-    uint64_t hits = 0;
-    uint64_t installs = 0;
-    uint64_t evictions = 0;
-  };
-  const Stats& stats() const { return stats_; }
   const CacheLevelConfig& config() const { return config_; }
 
  private:
@@ -56,7 +49,6 @@ class Cache {
   uint32_t ways_;
   uint64_t set_mask_;
   std::vector<uint64_t> tags_;  // num_sets * ways, row-major by set
-  Stats stats_;
 };
 
 }  // namespace yieldhide::sim

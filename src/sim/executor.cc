@@ -9,9 +9,9 @@ constexpr size_t kMaxCallDepth = 4096;
 }  // namespace
 
 // The state an instruction reads or writes besides the registers, the call
-// stack, memory and the rarely moved counters. Step() and Run() keep it in
-// locals, which the compiler holds in registers for a whole run, and load it
-// from and store it to the context and the machine once per step or run.
+// stack, memory and the rarely moved counters. Run() keeps it in locals, which
+// the compiler holds in registers for a whole run, and loads it from and
+// stores it to the context and the machine once per run.
 struct Executor::Frame {
   const isa::Instruction* code;
   size_t size;
@@ -31,7 +31,8 @@ StepEvent Executor::Fail(Status status) {
   return StepEvent::kError;
 }
 
-// Inlined into Step() and Run(), so Run() keeps the frame in registers.
+// Inlined into both instantiations of Run()'s loop, which keep the frame in
+// registers.
 [[gnu::always_inline]] inline StepEvent Executor::Execute(CpuContext& ctx,
                                                           Frame& frame,
                                                           const CostModel& cost,
@@ -115,10 +116,6 @@ StepEvent Executor::Fail(Status status) {
       issue = access.latency_cycles < hit_cost ? access.latency_cycles : hit_cost;
       wait = access.latency_cycles - issue;
       regs[insn.rd] = machine_->memory().Read64(vaddr);
-      ++ctx.loads;
-      if (access.level != HitLevel::kL1 || access.hit_inflight) {
-        ++ctx.load_misses;
-      }
       machine_->listeners().OnLoad(ctx.id, ip, vaddr, access.level,
                                    access.hit_inflight, wait, now);
       if (wait > 0) {
@@ -212,7 +209,6 @@ StepEvent Executor::Fail(Status status) {
         machine_->listeners().OnYield(ctx.id, ip, true, now);
       } else {
         issue = cost.cyield_untaken_cycles;
-        ++ctx.cyields_skipped;
       }
       break;
 
@@ -233,32 +229,9 @@ StepEvent Executor::Fail(Status status) {
   return event;
 }
 
-StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
-  StepResult result;
-  if (ctx.halted) {
-    result.event = StepEvent::kHalted;
-    return result;
-  }
-  const uint64_t start = machine_->now();
-  Frame frame{program_->code().data(), program_->size(), ctx.pc, start};
-  result.event = Execute(ctx, frame, machine_->config().cost, policy);
-  if (result.event == StepEvent::kError) {
-    return result;
-  }
-  result.issue_cycles = frame.issue_cycles;
-  result.wait_cycles = frame.wait_cycles;
-  result.conditional_yield = frame.conditional_yield;
-  ctx.pc = frame.pc;
-  ++ctx.instructions;
-  ctx.issue_cycles += frame.issue_cycles;
-  if (policy == StallPolicy::kBlocking) {
-    ctx.stall_cycles += frame.wait_cycles;
-  }
-  machine_->AdvanceClock(frame.now - start);
-  return result;
-}
-
-RunResult Executor::Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps) {
+template <bool kObserved>
+RunResult Executor::RunLoop(CpuContext& ctx, StallPolicy policy,
+                            uint64_t max_steps, StepObserver* observer) {
   RunResult result;
   result.ip = ctx.pc;
   if (ctx.halted) {
@@ -282,6 +255,9 @@ RunResult Executor::Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps)
     ++steps;
     issue_cycles += frame.issue_cycles;
     wait_cycles += frame.wait_cycles;
+    if constexpr (kObserved) {
+      observer->OnStep(ip, frame.issue_cycles, frame.wait_cycles);
+    }
     if (event != StepEvent::kExecuted) {
       break;
     }
@@ -300,6 +276,14 @@ RunResult Executor::Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps)
   result.issue_cycles = issue_cycles;
   result.wait_cycles = wait_cycles;
   return result;
+}
+
+RunResult Executor::Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps,
+                        StepObserver* observer) {
+  if (observer == nullptr) {
+    return RunLoop<false>(ctx, policy, max_steps, nullptr);
+  }
+  return RunLoop<true>(ctx, policy, max_steps, observer);
 }
 
 Result<uint64_t> Executor::RunToCompletion(CpuContext& ctx, uint64_t max_instructions) {

@@ -1,17 +1,17 @@
 // Executor: architectural state and instruction semantics for one software
 // context executing a Program on a Machine.
 //
-// Two entry points share one instruction body. Run() executes a context up to
-// the next step its caller must act on (a taken YIELD or CYIELD, a HALT, an
+// Run() is the one way to execute a context: it runs the context up to the
+// next step its caller must act on (a taken YIELD or CYIELD, a HALT, an
 // error) or until a step budget runs out, and keeps the program counter, the
-// clock and the counters in locals for the whole run: the coroutine runtime
+// clock and the counters in locals for the whole run. The coroutine runtime
 // (src/runtime) interleaves many contexts on one Machine by running whichever
-// context is scheduled to its next yield. Step() executes exactly one
-// instruction, for callers that must see every step: the SMT core
-// (smt_core.h) multiplexes contexts at instruction granularity, and a cycle
-// profiler attributes each step to its IP. The runtime and the SMT core
-// differ only in what they do with memory-wait cycles, which is why both
-// entry points separate issue cost from memory wait.
+// context is scheduled to its next yield; the SMT core (smt_core.h)
+// multiplexes contexts at instruction granularity with a budget of one step.
+// The two differ only in what they do with memory-wait cycles, which is why
+// a run separates issue cost from memory wait. A caller that must see every
+// step (a cycle profiler attributes each one to its IP) passes a
+// StepObserver.
 #ifndef YIELDHIDE_SRC_SIM_EXECUTOR_H_
 #define YIELDHIDE_SRC_SIM_EXECUTOR_H_
 
@@ -41,10 +41,6 @@ struct CpuContext {
   uint64_t issue_cycles = 0;    // cycles spent issuing instructions
   uint64_t stall_cycles = 0;    // cycles exposed waiting on memory
   uint64_t switch_cycles = 0;   // cycles charged for taken yields (by runtime)
-  uint64_t yields_taken = 0;
-  uint64_t cyields_skipped = 0;
-  uint64_t loads = 0;
-  uint64_t load_misses = 0;     // loads not satisfied by L1 (incl. in-flight)
 
   uint64_t TotalCycles() const { return issue_cycles + stall_cycles + switch_cycles; }
 
@@ -56,7 +52,7 @@ struct CpuContext {
   }
 };
 
-// What happened during one Step().
+// How a step ended.
 enum class StepEvent : uint8_t {
   kExecuted,  // ordinary instruction retired; context continues
   kYielded,   // YIELD (or enabled CYIELD) retired; scheduler should switch
@@ -64,29 +60,20 @@ enum class StepEvent : uint8_t {
   kError,     // malformed execution (bad pc, call-stack underflow, ...)
 };
 
-// Plain data, so a step returns in registers; the Status of a kError step is
-// kept by the executor (Executor::error()).
-struct StepResult {
-  StepEvent event = StepEvent::kExecuted;
-  uint32_t issue_cycles = 0;  // pipeline-occupancy cost of the instruction
-  uint32_t wait_cycles = 0;   // additional memory wait (stall if not hidden)
-  bool conditional_yield = false;  // event==kYielded via CYIELD
-};
-
-// What one Run() ended on.
+// What one Run() ended on. Plain data; the Status of a kError run is kept by
+// the executor (Executor::error()).
 struct RunResult {
-  // The ending step's event: kYielded or kHalted as for Step(), kError with
-  // the reason in Executor::error(), or kExecuted when the step budget ran
-  // out.
+  // The ending step's event: kYielded or kHalted, kError with the reason in
+  // Executor::error(), or kExecuted when the step budget ran out.
   StepEvent event = StepEvent::kExecuted;
   bool conditional_yield = false;  // event==kYielded via CYIELD
   isa::Addr ip = 0;                // the ending step's IP
   uint64_t steps = 0;              // instructions retired by the run
-  uint64_t issue_cycles = 0;       // summed over those instructions
-  uint64_t wait_cycles = 0;
+  uint64_t issue_cycles = 0;       // pipeline-occupancy cost, summed over them
+  uint64_t wait_cycles = 0;        // memory wait (stall if not hidden), summed
 };
 
-// How Step() and Run() should account memory waits.
+// How Run() should account memory waits.
 enum class StallPolicy : uint8_t {
   // In-order blocking core: the global clock advances by issue+wait and the
   // wait is recorded as context stall time. Used by the coroutine runtime.
@@ -96,29 +83,33 @@ enum class StallPolicy : uint8_t {
   kDeferred,
 };
 
+// Told of every step a Run() retires, the ending YIELD or HALT included, after
+// the step's events are published. A failing step retires nothing and is not
+// reported.
+class StepObserver {
+ public:
+  virtual ~StepObserver() = default;
+  virtual void OnStep(isa::Addr ip, uint32_t issue_cycles, uint32_t wait_cycles) = 0;
+};
+
 class Executor {
  public:
   // `program` and `machine` must outlive the executor.
   Executor(const isa::Program* program, Machine* machine);
 
-  // Executes exactly one instruction of `ctx`, advancing the machine clock
-  // per `policy` and publishing events to the machine's listeners.
+  // Executes `ctx` step after step until a step that yields, halts or fails,
+  // or until `max_steps` steps have retired, advancing the machine clock per
+  // `policy` and publishing each step's events to the machine's listeners. A
+  // halted context runs no step and reports kHalted. A failing step leaves
+  // `ctx` at the failing instruction, after the steps before it, and records
+  // why in error(). `observer`, when given, is told of every retired step.
   //
-  // YIELD instructions do NOT charge the switch cost; they only report
-  // kYielded. The scheduler charges the machine's yield_switch_cycles when it
-  // actually transfers control (a yield back to the same sole runnable
-  // context can be made cheaper by the runtime).
-  //
-  // A kError step leaves `ctx` unchanged and records why in error().
-  StepResult Step(CpuContext& ctx, StallPolicy policy);
-
-  // Executes `ctx` as Step() would, step after step, until a step that
-  // yields, halts or fails, or until `max_steps` steps have retired. Every
-  // context counter, the clock and the events published equal those of the
-  // same steps taken one Step() at a time. A failing step leaves `ctx` at the
-  // failing instruction, after the steps before it, and records why in
-  // error(). A halted context runs no step and reports kHalted.
-  RunResult Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps);
+  // YIELD instructions do NOT charge the switch cost; they only end the run
+  // with kYielded. The scheduler charges the machine's yield_switch_cycles
+  // when it actually transfers control (a yield back to the same sole
+  // runnable context can be made cheaper by the runtime).
+  RunResult Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps,
+                StepObserver* observer = nullptr);
 
   // Why the most recent kError step failed; OK before any error.
   const Status& error() const { return error_; }
@@ -134,8 +125,11 @@ class Executor {
  private:
   struct Frame;
 
-  // Executes the instruction at `frame.pc`: the one body Step() and Run()
-  // share.
+  // Run()'s loop, instantiated once without an observer and once with one.
+  template <bool kObserved>
+  RunResult RunLoop(CpuContext& ctx, StallPolicy policy, uint64_t max_steps,
+                    StepObserver* observer);
+  // Executes the instruction at `frame.pc`: the one instruction body.
   StepEvent Execute(CpuContext& ctx, Frame& frame, const CostModel& cost,
                     StallPolicy policy);
   // Records why a step failed; returns kError.

@@ -92,7 +92,6 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
     if (!l1_.Contains(next_line) && FindFill(next_line) == mshr_.end() &&
         mshr_.size() < config_.mshr_entries) {
       StartFill(next_line, now + MissLatency(FillSource(next_line)));
-      ++stats_.hw_prefetches;
     }
   }
   last_demand_line_ = line;
@@ -143,13 +142,11 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
 }
 
 bool MemoryHierarchy::AccessStore(uint64_t byte_addr, uint64_t now) {
-  ++stats_.stores;
   DrainMshr(now);
   const uint64_t line = LineOf(byte_addr);
   if (l1_.Lookup(line)) {
     return true;
   }
-  ++stats_.store_misses;
   // Write-allocate without stalling: the store buffer absorbs the latency.
   InstallEverywhere(line);
   return false;

@@ -63,12 +63,9 @@ class MemoryHierarchy {
     uint64_t l3_hits = 0;
     uint64_t dram_accesses = 0;
     uint64_t inflight_merges = 0;     // demand loads that found a pending fill
-    uint64_t stores = 0;
-    uint64_t store_misses = 0;
     uint64_t prefetches_issued = 0;
     uint64_t prefetches_useless = 0;  // line already cached or in flight
     uint64_t prefetches_dropped = 0;  // MSHR full
-    uint64_t hw_prefetches = 0;       // next-line prefetcher activations
   };
   const Stats& stats() const { return stats_; }
   const Cache& l1() const { return l1_; }

@@ -56,14 +56,13 @@ Result<SmtReport> SmtCore::Run(uint64_t max_total_instructions) {
           next_ready = ready_at_[i];
         }
       }
-      report.idle_cycles += next_ready - now;
       machine.AdvanceClockTo(next_ready);
       continue;
     }
 
     rr_cursor = (static_cast<size_t>(chosen) + 1) % contexts_.size();
     CpuContext& ctx = contexts_[chosen];
-    const StepResult step = executor_.Step(ctx, StallPolicy::kDeferred);
+    const RunResult step = executor_.Run(ctx, StallPolicy::kDeferred, 1);
     switch (step.event) {
       case StepEvent::kError:
         return executor_.error();

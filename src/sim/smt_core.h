@@ -25,7 +25,6 @@ namespace yieldhide::sim {
 struct SmtReport {
   uint64_t total_cycles = 0;      // wall-clock cycles until the last context halted
   uint64_t issued_cycles = 0;     // cycle slots spent issuing instructions
-  uint64_t idle_cycles = 0;       // cycle slots with every context waiting on memory
   uint64_t total_instructions = 0;
   std::vector<uint64_t> context_finish_cycles;  // completion time per context
 

@@ -70,8 +70,8 @@ CycleProfilerConfig SnapshotConfig(bool site_snapshots) {
 void DriveRegression(CycleProfiler& profiler) {
   profiler.OnRunBegin(0);
   for (uint64_t epoch = 0; epoch < 4; ++epoch) {
-    profiler.OnPrimaryStep(/*ip=*/0, /*issue_cycles=*/10,
-                           /*wait_cycles=*/epoch >= 2 ? 100 : 0);
+    profiler.OnStep(/*ip=*/0, /*issue_cycles=*/10,
+                    /*wait_cycles=*/epoch >= 2 ? 100 : 0);
     profiler.SnapshotEpoch(epoch, (epoch + 1) * 1'000);
   }
 }

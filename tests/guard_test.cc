@@ -619,13 +619,13 @@ TEST(CycleProfilerRebindTest, OnBinaryKeepsCumulativeTotalsAndSites) {
   obs::CycleProfiler profiler;
   profiler.OnBinary(&stale.binary);
   profiler.OnRunBegin(0);
-  profiler.OnPrimaryStep(/*ip=*/0, /*issue_cycles=*/40, /*wait_cycles=*/60);
+  profiler.OnStep(/*ip=*/0, /*issue_cycles=*/40, /*wait_cycles=*/60);
   profiler.SyncToClock(100);
   profiler.SnapshotEpoch(/*epoch=*/0, /*now_cycles=*/100);
   const size_t sites_before = profiler.sites().size();
 
   profiler.OnBinary(&stale.binary);  // rollback reinstall
-  profiler.OnPrimaryStep(0, 30, 20);
+  profiler.OnStep(0, 30, 20);
   profiler.SyncToClock(150);
   profiler.SnapshotEpoch(1, 150);
 

@@ -1096,10 +1096,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CycleProfilerEpochSliceTest, DeltasRecoverPerEpochClassTotals) {
   obs::CycleProfiler profiler;
   profiler.OnRunBegin(0);
-  profiler.OnPrimaryStep(/*ip=*/0x10, /*issue_cycles=*/40, /*wait_cycles=*/60);
+  profiler.OnStep(/*ip=*/0x10, /*issue_cycles=*/40, /*wait_cycles=*/60);
   profiler.SyncToClock(100);
   profiler.SnapshotEpoch(/*epoch=*/1, /*now_cycles=*/100);
-  profiler.OnPrimaryStep(0x10, 30, 20);
+  profiler.OnStep(0x10, 30, 20);
   profiler.SyncToClock(150);
   profiler.SnapshotEpoch(2, 150);
 

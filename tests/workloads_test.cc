@@ -218,8 +218,12 @@ TEST(ArrayScanTest, SequentialScanIsMostlyHits) {
   ctx.ResetArchState(workload.program().entry());
   workload.SetupFor(0)(ctx);
   ASSERT_TRUE(executor.RunToCompletion(ctx, 10'000'000).ok());
-  // One miss per 8 loads (64 B line / 8 B element): miss ratio ~ 12.5%.
-  EXPECT_NEAR(static_cast<double>(ctx.load_misses) / ctx.loads, 0.125, 0.02);
+  // One miss per 8 loads (64 B line / 8 B element): miss ratio ~ 12.5%. A
+  // load merged into a pending fill counts as an L1 hit in the stats, but it
+  // still waited on a miss.
+  const sim::MemoryHierarchy::Stats& stats = machine.hierarchy().stats();
+  const uint64_t misses = stats.loads - (stats.l1_hits - stats.inflight_merges);
+  EXPECT_NEAR(static_cast<double>(misses) / stats.loads, 0.125, 0.02);
 }
 
 // --- SkiplistLookup ----------------------------------------------------------------
