@@ -573,11 +573,15 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
             if (useful) {
               ++stats.useful;
             }
-            obs::TraceEmit(trace_,
-                           useful ? obs::TraceEventType::kYieldHidden
-                                  : obs::TraceEventType::kYieldBlown,
-                           machine_->now(), primary.id, sites_.SiteOf(ip),
-                           cost);
+            // Tested here, not only inside TraceEmit: the compiler evaluates
+            // the site lookup, an argument, before TraceEmit's null test.
+            if (trace_ != nullptr) {
+              obs::TraceEmit(trace_,
+                             useful ? obs::TraceEventType::kYieldHidden
+                                    : obs::TraceEventType::kYieldBlown,
+                             machine_->now(), primary.id, sites_.SiteOf(ip),
+                             cost);
+            }
             if (stats.visits >= kQuarantineMinVisits &&
                 static_cast<double>(stats.useful) <
                     kQuarantineMinUsefulFraction *
@@ -587,9 +591,11 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
               if (profiler_ != nullptr) {
                 profiler_->OnQuarantine(sites_.SiteOf(ip), true);
               }
-              obs::TraceEmit(trace_, obs::TraceEventType::kQuarantineEnter,
-                             machine_->now(), primary.id, sites_.SiteOf(ip),
-                             stats.visits);
+              if (trace_ != nullptr) {
+                obs::TraceEmit(trace_, obs::TraceEventType::kQuarantineEnter,
+                               machine_->now(), primary.id, sites_.SiteOf(ip),
+                               stats.visits);
+              }
             }
           }
         }

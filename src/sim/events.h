@@ -18,7 +18,10 @@
 // dispatched, and before an Add, Remove or Clear. A subscriber at countdown 1
 // when the registrations change (a listener that sees every retirement) or a
 // listener registered twice pins the distance at 0 until they change again;
-// a pinned bus counts each retirement down each subscriber in place.
+// a pinned bus counts each retirement down each subscriber in place. A stretch
+// of retirements that raises no other event (the executor's straight-line ALU
+// runs) may be counted at once, one subtraction from the distance, when the
+// distance covers it.
 #ifndef YIELDHIDE_SRC_SIM_EVENTS_H_
 #define YIELDHIDE_SRC_SIM_EVENTS_H_
 
@@ -148,6 +151,13 @@ class MulticastListener final : public EventListener {
   }
   // Registrations, whatever events they declare.
   size_t size() const { return listeners_.size(); }
+
+  // Retirements that can pass before some subscriber reaches its sample
+  // point: 0 on a pinned bus or one at a sample point.
+  uint64_t retire_distance() const { return retire_distance_; }
+  // Counts `n` retirements at once, as `n` OnRetired calls would; requires
+  // n <= retire_distance(), so that none of them reaches a sample point.
+  void CountRetirements(uint64_t n) { retire_distance_ -= n; }
 
   void OnRetired(int ctx_id, isa::Addr ip, isa::Opcode op, uint64_t cycle) override {
     if (retire_distance_ > 0) {

@@ -3,15 +3,29 @@
 //
 // Run() is the one way to execute a context: it runs the context up to the
 // next step its caller must act on (a taken YIELD or CYIELD, a HALT, an
-// error) or until a step budget runs out, and keeps the program counter, the
-// clock and the counters in locals for the whole run. The coroutine runtime
-// (src/runtime) interleaves many contexts on one Machine by running whichever
-// context is scheduled to its next yield; the SMT core (smt_core.h)
-// multiplexes contexts at instruction granularity with a budget of one step.
-// The two differ only in what they do with memory-wait cycles, which is why
-// a run separates issue cost from memory wait. A caller that must see every
-// step (a cycle profiler attributes each one to its IP) passes a
-// StepObserver.
+// error) or until a step budget runs out. The coroutine runtime (src/runtime)
+// interleaves many contexts on one Machine by running whichever context is
+// scheduled to its next yield; the SMT core (smt_core.h) multiplexes contexts
+// at instruction granularity with a budget of one step. The two differ only
+// in what they do with memory-wait cycles, which is why a run separates
+// issue cost from memory wait. A caller that must see every step (a cycle
+// profiler attributes each one to its IP) passes a StepObserver.
+//
+// A run keeps what its steps read besides memory in host registers: the code,
+// the cost model, the machine's hierarchy, memory and event bus, the pc, the
+// clock, the remaining budget and the cycle sums are locals, loaded once and
+// stored back once, and the context's registers are reached through a pointer
+// that aliases nothing else, so writing one forces no reload. Each
+// (observer, StallPolicy) pair has its own loop, so no step tests either.
+//
+// Straight-line ALU runs (kNop through kMov up to the next other opcode)
+// retire in one step. An executor records, for each pc of its program, the
+// length of the ALU run that starts there and the run's summed issue cycles.
+// A run without an observer that reaches such a pc executes the whole ALU run
+// and does its bookkeeping once, when both the remaining budget and the event
+// bus's retirements before its next sample point cover it; an ALU instruction
+// raises no event but its retirement, so no listener can tell. Every other
+// step, and every step of an observed run, goes through the one-step switch.
 #ifndef YIELDHIDE_SRC_SIM_EXECUTOR_H_
 #define YIELDHIDE_SRC_SIM_EXECUTOR_H_
 
@@ -94,7 +108,9 @@ class StepObserver {
 
 class Executor {
  public:
-  // `program` and `machine` must outlive the executor.
+  // `program` and `machine` must outlive the executor, and neither the
+  // program nor the machine's cost model may change while it exists: the
+  // executor records the program's ALU runs when it is built.
   Executor(const isa::Program* program, Machine* machine);
 
   // Executes `ctx` step after step until a step that yields, halts or fails,
@@ -109,7 +125,16 @@ class Executor {
   // when it actually transfers control (a yield back to the same sole
   // runnable context can be made cheaper by the runtime).
   RunResult Run(CpuContext& ctx, StallPolicy policy, uint64_t max_steps,
-                StepObserver* observer = nullptr);
+                StepObserver* observer = nullptr) {
+    if (observer == nullptr) {
+      return policy == StallPolicy::kBlocking
+                 ? RunLoop<false, StallPolicy::kBlocking>(ctx, max_steps, nullptr)
+                 : RunLoop<false, StallPolicy::kDeferred>(ctx, max_steps, nullptr);
+    }
+    return policy == StallPolicy::kBlocking
+               ? RunLoop<true, StallPolicy::kBlocking>(ctx, max_steps, observer)
+               : RunLoop<true, StallPolicy::kDeferred>(ctx, max_steps, observer);
+  }
 
   // Why the most recent kError step failed; OK before any error.
   const Status& error() const { return error_; }
@@ -123,20 +148,23 @@ class Executor {
   Machine& machine() { return *machine_; }
 
  private:
-  struct Frame;
+  // The straight-line ALU run that starts at one pc: how many instructions
+  // (0 when the one there is not an ALU instruction) and their summed issue
+  // cycles.
+  struct AluRun {
+    uint32_t length = 0;
+    uint32_t issue_cycles = 0;
+  };
 
-  // Run()'s loop, instantiated once without an observer and once with one.
-  template <bool kObserved>
-  RunResult RunLoop(CpuContext& ctx, StallPolicy policy, uint64_t max_steps,
-                    StepObserver* observer);
-  // Executes the instruction at `frame.pc`: the one instruction body.
-  StepEvent Execute(CpuContext& ctx, Frame& frame, const CostModel& cost,
-                    StallPolicy policy);
-  // Records why a step failed; returns kError.
-  StepEvent Fail(Status status);
+  // Run()'s loop, one instantiation per observer presence and policy, all
+  // four in executor.cc.
+  template <bool kObserved, StallPolicy kPolicy>
+  RunResult RunLoop(CpuContext& ctx, uint64_t max_steps, StepObserver* observer);
 
   const isa::Program* program_;
   Machine* machine_;
+  // One entry per pc, and a zero one past the end.
+  std::vector<AluRun> alu_runs_;
   Status error_;
 };
 

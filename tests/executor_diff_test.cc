@@ -1,5 +1,5 @@
 // Differential test of Executor::Run against RefExecutor, a plain
-// interpreter of the ISA written apart from Executor::Execute.
+// interpreter of the ISA written apart from the executor.
 //
 // Two SmallTest machines run the same random programs with identical
 // listeners attached: a retired-instruction PEBS sampler with jitter and skid,
@@ -15,7 +15,9 @@
 // to the call-depth limit, and some end in one of the three errors. After
 // every run the contexts, the clocks, the hierarchy counters, the data, the
 // samples, the logged events and the observed steps must be equal. The
-// boundary cases below pin where Run() stops.
+// boundary cases below pin where Run() stops, and where an unobserved run
+// retires a straight-line ALU run in one step and where it must not: across
+// a sample point or past the end of its budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -808,6 +811,118 @@ TEST_F(RunBoundaryTest, ObserverSeesEveryRetiredStepButNotAFailingOne) {
             StepEvent::kHalted);
   EXPECT_EQ(halting.Run(ctx_, StallPolicy::kBlocking, kUnbounded, &log).steps, 0u);
   EXPECT_EQ(log.steps, (std::vector<StepCost>{{0, 1, 0}}));
+}
+
+// --- Straight-line ALU runs ----------------------------------------------------
+
+// The batch kernel's body, 40 {addi, xor} pairs: one ALU run of kAluRun
+// instructions, then a HALT.
+constexpr uint32_t kAluRun = 80;
+
+isa::Program AluRunProgram() {
+  std::string text;
+  for (uint32_t i = 0; i < kAluRun / 2; ++i) {
+    text += "addi r3, r3, 1\nxor r4, r4, r3\n";
+  }
+  auto program = isa::Assemble(text + "halt\n");
+  EXPECT_TRUE(program.ok()) << program.status();
+  return program.ok() ? std::move(program).value() : isa::Program();
+}
+
+// What one Run() of AluRunProgram left behind.
+struct AluRunOutcome {
+  RunResult run;
+  std::vector<pmu::PebsSample> samples;
+  uint64_t event_count = 0;
+  CpuContext ctx;
+  uint64_t now = 0;
+};
+
+// Runs AluRunProgram from `start` with `budget` on a fresh machine, with a
+// retired-instruction sampler of `period` attached unless `period` is 0. An
+// observed run goes one step at a time, so it is the reference.
+AluRunOutcome RunAluProgram(const isa::Program& program, isa::Addr start,
+                            uint64_t budget, uint64_t period, bool observed) {
+  Machine machine(MachineConfig::SmallTest());
+  std::optional<pmu::PebsSampler> sampler;
+  if (period != 0) {
+    pmu::PebsConfig config;
+    config.event = pmu::HwEvent::kRetiredInstructions;
+    config.period = period;
+    machine.listeners().Add(&sampler.emplace(config));
+  }
+  Executor executor(&program, &machine);
+  AluRunOutcome out;
+  out.ctx.ResetArchState(start);
+  out.ctx.regs[3] = 5;
+  out.ctx.regs[4] = 0x1234;
+  StepLog log;
+  out.run = executor.Run(out.ctx, StallPolicy::kBlocking, budget,
+                         observed ? &log : nullptr);
+  if (sampler.has_value()) {
+    // Removing the sampler applies the retirements the bus counted for it.
+    machine.listeners().Remove(&*sampler);
+    out.samples = sampler->Drain();
+    out.event_count = sampler->event_count();
+  }
+  out.now = machine.now();
+  return out;
+}
+
+void ExpectSameOutcome(const AluRunOutcome& want, const AluRunOutcome& got) {
+  EXPECT_EQ(want.run.event, got.run.event);
+  EXPECT_EQ(want.run.ip, got.run.ip);
+  EXPECT_EQ(want.run.steps, got.run.steps);
+  EXPECT_EQ(want.run.issue_cycles, got.run.issue_cycles);
+  EXPECT_EQ(want.run.wait_cycles, got.run.wait_cycles);
+  ASSERT_EQ(want.samples.size(), got.samples.size());
+  for (size_t i = 0; i < want.samples.size(); ++i) {
+    EXPECT_EQ(want.samples[i].ip, got.samples[i].ip) << "sample " << i;
+    EXPECT_EQ(want.samples[i].cycle, got.samples[i].cycle) << "sample " << i;
+  }
+  EXPECT_EQ(want.event_count, got.event_count);
+  ExpectSameContext(want.ctx, got.ctx);
+  EXPECT_EQ(want.now, got.now);
+}
+
+TEST_F(RunBoundaryTest, AluRunStopsAtEverySamplePoint) {
+  const isa::Program program = AluRunProgram();
+  for (uint64_t period = 1; period <= kAluRun + 2; ++period) {
+    for (isa::Addr start = 0; start < kAluRun; ++start) {
+      SCOPED_TRACE(StrFormat("period %llu start %u",
+                             static_cast<unsigned long long>(period), start));
+      const AluRunOutcome want = RunAluProgram(program, start, kUnbounded, period, true);
+      const AluRunOutcome got = RunAluProgram(program, start, kUnbounded, period, false);
+      ASSERT_EQ(want.run.event, StepEvent::kHalted);
+      ASSERT_EQ(want.samples.size(), (kAluRun - start + 1) / period);
+      ExpectSameOutcome(want, got);
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST_F(RunBoundaryTest, AluRunStopsWhereTheBudgetEnds) {
+  const isa::Program program = AluRunProgram();
+  for (isa::Addr start = 0; start < kAluRun; ++start) {
+    for (uint64_t budget = 1; budget <= kAluRun - start + 1; ++budget) {
+      SCOPED_TRACE(StrFormat("start %u budget %llu", start,
+                             static_cast<unsigned long long>(budget)));
+      const AluRunOutcome want = RunAluProgram(program, start, budget, 0, true);
+      const AluRunOutcome got = RunAluProgram(program, start, budget, 0, false);
+      ExpectSameOutcome(want, got);
+      if (budget == kAluRun - start) {
+        // Exactly at the run's end: the run's last instruction ended it.
+        EXPECT_EQ(got.run.event, StepEvent::kExecuted);
+        EXPECT_EQ(got.run.ip, kAluRun - 1);
+        EXPECT_EQ(got.ctx.pc, kAluRun);
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace
